@@ -120,35 +120,71 @@ def passage_embedding(passage_ids, params: PsptParams, model: MicroLM) -> Tensor
 @dataclass
 class AssembledInput:
     embeddings: Tensor
-    target_positions: list[int]
+    target_positions: list[int]  # rows of `embeddings` that predict each target
     target_ids: list[int]
+    lengths: list[int]  # rows per segment, in order; they sum to the row count
 
 
-def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
-                    passage_block_fn, rows_per_passage_token: int = 1) -> AssembledInput:
-    """Concatenate prefix blocks, the (truncated) passage, a separator, and
-    the question; report which positions predict each question token.
+def assemble_segments(model: MicroLM, passages, question_ids, passage_blocks_fn,
+                      rows_per_passage_token: int = 1, prefix_rows: int = 0) -> AssembledInput:
+    """Pack one [passage block; separator; question] segment per passage,
+    row-wise, each to follow a shared prefix of `prefix_rows` rows.
 
-    Passages are truncated from the right to fit max_seq_len; questions
-    are never truncated.
+    `passage_blocks_fn` maps the kept ids of all passages, concatenated,
+    to `rows_per_passage_token` tensors with one row per id; a passage's
+    block is its rows from each tensor in turn. The tensor work is done
+    once for the whole list. Passages are truncated from the right so
+    that prefix and segment fit max_seq_len; questions are never
+    truncated.
     """
     question_ids = model.validate_ids(question_ids)
     if not question_ids:
         raise ContractError("question must contain at least one token")
-    sep_ids = model.vocab.encode(SEPARATOR_TEXT)
-    prefix_len = sum(b.shape[0] for b in prefix_blocks)
-    budget = model.config.max_seq_len - prefix_len - len(sep_ids) - len(question_ids)
+    tail_ids = model.vocab.encode(SEPARATOR_TEXT) + question_ids
+    budget = model.config.max_seq_len - prefix_rows - len(tail_ids)
     if budget < 0:
         raise SequenceLengthError(
-            f"prompt ({prefix_len}) + separator ({len(sep_ids)}) + question "
-            f"({len(question_ids)}) exceed max_seq_len {model.config.max_seq_len}"
+            f"prompt ({prefix_rows}) + separator ({len(tail_ids) - len(question_ids)}) + "
+            f"question ({len(question_ids)}) exceed max_seq_len {model.config.max_seq_len}"
         )
-    kept = list(passage_ids)[: budget // rows_per_passage_token]
-    blocks = list(prefix_blocks) + [passage_block_fn(kept), model.embed(sep_ids), model.embed(question_ids)]
-    x = T.concat_rows(blocks)
-    q_start = x.shape[0] - len(question_ids)
-    positions = list(range(q_start - 1, q_start - 1 + len(question_ids)))
-    return AssembledInput(x, positions, list(question_ids))
+    kept = [list(d)[: budget // rows_per_passage_token] for d in passages]
+    n_kept = sum(len(d) for d in kept)
+    blocks = passage_blocks_fn([t for d in kept for t in d])
+    table = T.concat_rows([*blocks, model.embed(tail_ids)])  # block rows, then the tail
+    tail = range(rows_per_passage_token * n_kept, rows_per_passage_token * n_kept + len(tail_ids))
+    index, lengths, targets = [], [], []
+    first = 0  # this passage's first row within each block
+    for d in kept:
+        seg_start = len(index)
+        for b in range(rows_per_passage_token):
+            index.extend(range(b * n_kept + first, b * n_kept + first + len(d)))
+        index.extend(tail)
+        first += len(d)
+        lengths.append(len(index) - seg_start)
+        targets.extend(range(len(index) - len(question_ids) - 1, len(index) - 1))
+    return AssembledInput(T.gather_rows(table, index), targets, question_ids * len(kept), lengths)
+
+
+def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
+                    passage_blocks_fn, rows_per_passage_token: int = 1) -> AssembledInput:
+    """One full sequence: the prefix blocks, then the passage's segment from
+    assemble_segments; positions count from the start of the prefix."""
+    n_pre = sum(b.shape[0] for b in prefix_blocks)
+    seg = assemble_segments(model, [passage_ids], question_ids, passage_blocks_fn,
+                            rows_per_passage_token, prefix_rows=n_pre)
+    x = T.concat_rows([*prefix_blocks, seg.embeddings])
+    return AssembledInput(x, [n_pre + r for r in seg.target_positions], seg.target_ids,
+                          [x.shape[0]])
+
+
+def pspt_passage_blocks(params: PsptParams, model: MicroLM, literal_concat: bool = False):
+    """The passage_blocks_fn of PSPT: adapted passage rows, then with
+    literal_concat the raw frozen rows as a second block."""
+    def blocks(ids):
+        adapted = passage_embedding(ids, params, model)
+        return [adapted, model.embed(ids)] if literal_concat else [adapted]
+
+    return blocks
 
 
 def assemble_input(params: PsptParams, passage_ids, question_ids, model: MicroLM,
@@ -158,14 +194,9 @@ def assemble_input(params: PsptParams, passage_ids, question_ids, model: MicroLM
     With literal_concat the raw frozen passage embeddings are appended
     after the adapted ones as a separate block.
     """
-    if literal_concat:
-        def block(kept):
-            return T.concat_rows([passage_embedding(kept, params, model), model.embed(kept)])
-
-        return assemble_blocks(model, [params.soft_prompt.e1], passage_ids, question_ids,
-                               block, rows_per_passage_token=2)
     return assemble_blocks(model, [params.soft_prompt.e1], passage_ids, question_ids,
-                           lambda kept: passage_embedding(kept, params, model))
+                           pspt_passage_blocks(params, model, literal_concat),
+                           rows_per_passage_token=2 if literal_concat else 1)
 
 
 def save_params(params: PsptParams, path) -> None:

@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Soft-prompt passage reranking workflows")
     parser.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--workers", type=int, help="override config worker count")
+    parser.add_argument("--workers", type=int,
+                        help="override config worker count (accepted; has no effect)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, help_text):

@@ -93,7 +93,10 @@ def _parse_question_record(line_no: int, rec) -> Question:
         if pid in seen:
             raise ParseError(line_no, f"duplicate passage_id {pid!r}")
         seen.add(pid)
-        passages.append(Passage(pid, str(p["text"]), bool(p["relevant"])))
+        if not isinstance(p["relevant"], bool):
+            raise ParseError(line_no, f"passage {pid!r}: relevant must be true or false, "
+                                      f"got {p['relevant']!r}")
+        passages.append(Passage(pid, str(p["text"]), p["relevant"]))
     return Question(str(rec["question_id"]), str(rec["question_text"]), passages)
 
 
@@ -190,6 +193,8 @@ def read_run_file(path, tag: str | None = None) -> RetrievalRun:
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad rank/score: {exc}") from exc
                 line_tag = parts[5]
+            if not math.isfinite(entry.score):
+                raise ParseError(line_no, f"score {entry.score!r} is not a finite number")
             if file_tag is None:
                 file_tag = line_tag
             grouped.setdefault(qid, []).append(entry)

@@ -1,9 +1,11 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
-Deliberately small: 2-D matmul, row-wise softmaxes, layer norm, gathers
-and concatenation are everything a micro decoder-only transformer needs.
-float32 is the working precision; passing float64 arrays switches the
-whole downstream graph to float64 for gradient verification.
+Deliberately small: matmul over leading batch axes, softmaxes and layer
+norm over the last axis, reshape / permute, gathers, concatenation and
+its inverse split are everything a micro decoder-only transformer needs,
+with attention heads batched along a leading axis. float32 is the
+working precision; passing float64 arrays switches the whole downstream
+graph to float64 for gradient verification.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class Tensor:
         return matmul(self, other)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, dtype=None) -> Tensor:
+    """Tensors pass through; other values become constants (of `dtype`, if given)."""
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -117,6 +120,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad = t.grad + g
+
+
+def _accumulate_at(t: Tensor, index, g: np.ndarray) -> None:
+    """Add g into t.grad[index] without materializing a full-size gradient."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad[index] += g
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -140,12 +150,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a = _as_tensor(a)
+    b = _as_tensor(b, a.dtype)
     out_data = a.data + b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        for t in (a, b):
+            if t.requires_grad:
+                _accumulate(t, _unbroadcast(g, t.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -158,39 +170,66 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a = _as_tensor(a)
+    b = _as_tensor(b, a.dtype)
     out_data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product with dA = g @ Bᵀ, dB = Aᵀ @ g."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading (batch) axes broadcast.
+
+    dA = g @ Bᵀ and dB = Aᵀ @ g, each summed over the batch axes its
+    operand was broadcast along.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul expects operands of 2 or more axes, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} vs {b.shape}") from None
     out_data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _make(out_data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-D tensor, got {a.shape}")
+def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    def backward(g):
+        _accumulate(a, g.reshape(a.shape))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder axes (a view, like numpy's transpose)."""
+    inverse = np.argsort(axes)
 
     def backward(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.transpose(inverse))
 
-    return _make(a.data.T.copy(), (a,), backward)
+    return _make(a.data.transpose(axes), (a,), backward)
+
+
+def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    if a.ndim < 2:
+        raise ShapeError(f"transpose expects 2 or more axes, got {a.shape}")
+    return permute(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -203,60 +242,128 @@ def relu(a: Tensor) -> Tensor:
 
 
 def log_softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise log softmax, stabilized by row-max subtraction."""
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ShapeError(f"log_softmax_rows expects a non-empty 2-D tensor, got {x.shape}")
+    """Log softmax over the last axis, stabilized by max subtraction."""
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ShapeError(f"log_softmax_rows expects a non-empty last axis, got {x.shape}")
     if not np.isfinite(x.data).all():
         raise NumericError("log_softmax_rows received non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
 
     def backward(g):
-        _accumulate(x, g - np.exp(out_data) * g.sum(axis=1, keepdims=True))
+        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _make(out_data, (x,), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax; tolerates large negative masking values."""
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-D tensor, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis; tolerates large negative masking values."""
+    if x.ndim < 1:
+        raise ShapeError(f"softmax_rows expects at least one axis, got {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=1, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        _accumulate(x, out_data * (g - (g * out_data).sum(axis=1, keepdims=True)))
+        _accumulate(x, out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
 
     return _make(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
+    """Normalization over the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"layer_norm expects a 2-D tensor with width > 0, got {x.shape}")
-    d = x.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise ShapeError(f"layer_norm expects a last axis of width > 0, got {x.shape}")
+    d = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out_data = xhat * gamma.data + beta.data
 
     def backward(g):
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
-        dxhat = g * gamma.data
-        dx = inv / d * (
-            d * dxhat
-            - dxhat.sum(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)
-        )
-        _accumulate(x, dx)
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+        if beta.requires_grad:
+            _accumulate(beta, g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            dxhat = g * gamma.data
+            _accumulate(x, inv / d * (
+                d * dxhat
+                - dxhat.sum(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+            ))
 
     return _make(out_data, (x, gamma, beta), backward)
+
+
+def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
+                    prefix: int = 0, scale: float = 1.0) -> Tensor:
+    """Causal softmax attention, softmax(q kᵀ · scale) v, inside consecutive
+    row blocks.
+
+    q, k and v are [..., R, d]: leading axes (attention heads) are batched
+    and the R rows on axis -2 are cut into blocks of `sizes`. A row attends
+    to its own block's rows up to itself. With prefix > 0 the first block
+    is a shared prefix of that many rows, and every later block also
+    attends to all of it.
+    """
+    if not q.shape == k.shape == v.shape or q.ndim < 2:
+        raise ShapeError(f"block_attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    if sum(sizes) != q.shape[-2] or min(sizes, default=0) < 1 or (prefix and sizes[0] != prefix):
+        raise ShapeError(f"block sizes {list(sizes)} (prefix {prefix}) do not partition "
+                         f"{q.shape[-2]} rows")
+    causal = np.triu(np.full((max(sizes), max(sizes)), -1e9, dtype=q.dtype), k=1)
+    out = np.empty_like(q.data)
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
+    saved = []
+    lo = 0
+    for j, n in enumerate(sizes):
+        own = slice(lo, lo + n)
+        keys = [slice(0, prefix), own] if prefix and j else [own]
+        kc = np.concatenate([k.data[..., s, :] for s in keys], axis=-2)
+        vc = np.concatenate([v.data[..., s, :] for s in keys], axis=-2)
+        # scores become the attention weights in place: one [..., n, keys] array per block
+        w = q.data[..., own, :] @ np.swapaxes(kc, -1, -2)
+        w *= scale
+        w[..., kc.shape[-2] - n:] += causal[:n, :n]
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        out[..., own, :] = w @ vc
+        if keep:  # inference keeps one block's temporaries at a time
+            saved.append((own, keys, kc, vc, w))
+        lo += n
+
+    def backward(g):
+        dq, dk, dv = (np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        for own, keys, kc, vc, w in saved:
+            g_own = g[..., own, :]
+            dw = g_own @ np.swapaxes(vc, -1, -2)
+            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
+            if dq is not None:
+                dq[..., own, :] = ds @ kc
+            if dk is not None:
+                _add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q.data[..., own, :])
+            if dv is not None:
+                _add_rows(dv, keys, np.swapaxes(w, -1, -2) @ g_own)
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                _accumulate(t, d)
+
+    return _make(out, (q, k, v), backward)
+
+
+def _add_rows(dst: np.ndarray, spans: list[slice], src: np.ndarray) -> None:
+    """Add consecutive row blocks of src into the row spans of dst (axis -2)."""
+    at = 0
+    for s in spans:
+        n = s.stop - s.start
+        dst[..., s, :] += src[..., at:at + n, :]
+        at += n
 
 
 def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
@@ -274,8 +381,8 @@ def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
     return _make(a.data[idx], (a,), backward)
 
 
-def take_entries(x: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
-    """1-D tensor of x[rows[i], cols[i]]."""
+def take_entries(x: Tensor, rows, cols) -> Tensor:
+    """x[rows, cols] for integer index arrays of one shape; the result has that shape."""
     r = np.asarray(rows, dtype=np.int64)
     c = np.asarray(cols, dtype=np.int64)
     if r.shape != c.shape:
@@ -290,34 +397,47 @@ def take_entries(x: Tensor, rows: Sequence[int], cols: Sequence[int]) -> Tensor:
     return _make(x.data[r, c], (x,), backward)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 2-D tensors along axis 0; backward splits the gradient."""
+def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along `axis` (default: rows); backward splits the gradient."""
     if not parts:
         raise ContractError("concat_rows needs at least one part")
-    widths = {p.shape[1] for p in parts}
-    if len(widths) != 1:
-        raise ShapeError(f"concat_rows width mismatch: {[p.shape for p in parts]}")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    ax = axis % parts[0].ndim
+    rest = {p.shape[:ax] + p.shape[ax + 1:] for p in parts}
+    if len(rest) != 1 or len({p.ndim for p in parts}) != 1:
+        raise ShapeError(f"concat_rows shape mismatch off axis {axis}: {[p.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
+    lead = (slice(None),) * ax
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+            _accumulate(p, g[lead + (slice(lo, hi),)])
 
-    return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
+    return _make(np.concatenate([p.data for p in parts], axis=ax), tuple(parts), backward)
+
+
+def split_rows(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
+    """Cut `a` along axis 0 into consecutive parts of the given sizes.
+
+    The inverse of concat_rows; each part's gradient lands in its slice.
+    """
+    if a.ndim < 1 or sum(sizes) != a.shape[0] or min(sizes, default=0) < 0:
+        raise ShapeError(f"split_rows sizes {list(sizes)} do not partition the rows of {a.shape}")
+    parts = []
+    lo = 0
+    for n in sizes:
+        index = slice(lo, lo + n)
+
+        def backward(g, index=index):
+            _accumulate_at(a, index, g)
+
+        parts.append(_make(a.data[index], (a,), backward))
+        lo += n
+    return parts
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one part")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
+    """Join tensors along the last axis."""
+    return concat_rows(parts, axis=-1)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -333,13 +453,18 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _make(a.data[:, start:stop].copy(), (a,), backward)
 
 
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of all entries as a scalar tensor, or over one axis."""
+    if axis is None:
+        def backward(g):
+            _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
 
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
+        return _make(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
 
-    return _make(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
+    def backward_axis(g):
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
+
+    return _make(a.data.sum(axis=axis), (a,), backward_axis)
 
 
 def backward(loss: Tensor) -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,15 +42,6 @@ class TrainingInstance:
         if self.positive_id == self.negative_id:
             raise ContractError(
                 f"instance {self.question_id}: positive and negative share id {self.positive_id!r}")
-
-
-class Pair(NamedTuple):
-    question_id: str
-    question: list[int]
-    positive_id: str
-    positive: list[int]
-    negative_id: str
-    negative: list[int]
 
 
 @dataclass
@@ -124,12 +114,13 @@ def build_instances(dataset: QaDataset, seed: int, sample_size: int,
     return instances
 
 
-def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[Pair]:
+def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInstance]:
     """Give each question up to m negatives: its own, then other instances'
-    positives and negatives round-robin, never reusing its own positive id."""
+    positives and negatives round-robin, never reusing its own positive id.
+    Returns one (question, positive, negative) pair per negative."""
     if m < 1:
         raise ContractError("in-batch negative count must be at least 1")
-    pairs: list[Pair] = []
+    pairs: list[TrainingInstance] = []
     size = len(batch)
     for i, inst in enumerate(batch):
         negatives: list[tuple[str, list[int]]] = [(inst.negative_id, inst.negative)]
@@ -150,56 +141,56 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[Pair]:
                 taken.add(pid)
                 negatives.append((pid, toks))
         for pid, toks in negatives:
-            pairs.append(Pair(inst.question_id, inst.question,
-                              inst.positive_id, inst.positive, pid, toks))
+            pairs.append(replace(inst, negative_id=pid, negative=toks))
     return pairs
+
+
+def _question_terms(question, positive, negatives, params: PsptParams, model: MicroLM,
+                    literal_concat: bool) -> tuple[Tensor, Tensor]:
+    """Point term -score(positive), shape [1], and hinge terms
+    max(0, score(negative) - score(positive)), one per negative, from a
+    single scoring call over [positive, *negatives]."""
+    scores = question_loglik(question, [positive, *negatives], params, model, literal_concat)
+    s_pos, s_neg = T.split_rows(scores, [1, len(negatives)])
+    return T.neg(s_pos), T.relu(T.add(s_neg, T.neg(s_pos)))
 
 
 def loss_point(question, positive, params: PsptParams, model: MicroLM,
                literal_concat: bool = False) -> Tensor:
     """Negative question log-likelihood given the positive passage."""
-    return T.neg(question_loglik(question, positive, params, model, literal_concat))
+    return T.neg(T.tsum(question_loglik(question, [positive], params, model, literal_concat)))
 
 
 def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM,
               literal_concat: bool = False) -> Tensor:
     """Hinge on the score margin: max(0, score(negative) - score(positive))."""
-    s_pos = question_loglik(question, positive, params, model, literal_concat)
-    s_neg = question_loglik(question, negative, params, model, literal_concat)
-    return T.relu(T.add(s_neg, T.neg(s_pos)))
+    return T.tsum(_question_terms(question, positive, [negative], params, model,
+                                  literal_concat)[1])
 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
                point_weight: float = 1.0, pair_weight: float = 1.0,
                literal_concat: bool = False) -> Tensor:
-    point = loss_point(question, positive, params, model, literal_concat)
-    pair = loss_pair(question, positive, negative, params, model, literal_concat)
-    return T.add(T.mul(point, point_weight), T.mul(pair, pair_weight))
+    point, pair = _question_terms(question, positive, [negative], params, model, literal_concat)
+    return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
-def _mean(terms: list[Tensor]) -> Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.mul(total, 1.0 / len(terms))
-
-
-def _batch_loss(pairs: list[Pair], params: PsptParams, model: MicroLM,
+def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroLM,
                 config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean pair-level loss; the positive-score subgraph is shared per question."""
-    plus_cache: dict[tuple[str, str], Tensor] = {}
-    point_terms, pair_terms = [], []
+    """Mean pair-level loss, with one scoring call per question over its
+    positive and all of its negatives."""
+    groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
-        key = (p.question_id, p.positive_id)
-        s_pos = plus_cache.get(key)
-        if s_pos is None:
-            s_pos = question_loglik(p.question, p.positive, params, model, config.literal_concat)
-            plus_cache[key] = s_pos
-        s_neg = question_loglik(p.question, p.negative, params, model, config.literal_concat)
-        point_terms.append(T.neg(s_pos))
-        pair_terms.append(T.relu(T.add(s_neg, T.neg(s_pos))))
-    point = _mean(point_terms)
-    pair = _mean(pair_terms)
+        groups.setdefault((p.question_id, p.positive_id), []).append(p)
+    point_terms, pair_terms = [], []
+    for group in groups.values():
+        point, pair = _question_terms(group[0].question, group[0].positive,
+                                      [p.negative for p in group], params, model,
+                                      config.literal_concat)
+        point_terms.append(T.mul(point, float(len(group))))  # one point term per pair
+        pair_terms.append(pair)
+    point = T.mul(T.tsum(T.concat_rows(point_terms)), 1.0 / len(pairs))
+    pair = T.mul(T.tsum(T.concat_rows(pair_terms)), 1.0 / len(pairs))
     total = T.add(T.mul(point, config.point_weight), T.mul(pair, config.pair_weight))
     return total, point, pair
 

@@ -172,7 +172,7 @@ class TestThetaExclusivity:
         from pspt.scoring import question_loglik
 
         params.adapter.B.data += 0.01
-        loglik = question_loglik([12, 13], [10, 11], params, demo_model)
+        loglik = T.tsum(question_loglik([12, 13], [[10, 11]], params, demo_model))
         T.backward(T.neg(loglik))
         assert params.soft_prompt.e1.grad is not None
         assert params.adapter.A.grad is not None

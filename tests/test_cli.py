@@ -233,3 +233,34 @@ class TestEval:
 
     def test_missing_run_file_is_data_error(self, workspace):
         assert main(["--config", workspace["config"], "eval", "--run", "/nonexistent.run"]) == 2
+
+
+class TestMalformedInput:
+    """Values that parse as JSON or numbers but are wrong end in exit code 2."""
+
+    def test_string_relevance_label_is_data_error(self, workspace, tmp_path):
+        lines = workspace["dataset_path"].read_text().splitlines()
+        record = json.loads(lines[0])
+        record["passages"][0]["relevant"] = "false"  # bool("false") would be True
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        assert main(["--config", workspace["config"], "eval", "--dataset", str(bad),
+                     "--run", workspace["run"]]) == 2
+
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_run_score_is_data_error(self, workspace, tmp_path, score):
+        lines = open(workspace["run"]).read().splitlines()
+        parts = lines[0].split()
+        parts[4] = score
+        bad = tmp_path / "bad.run"
+        bad.write_text("\n".join([" ".join(parts)] + lines[1:]) + "\n")
+        assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2
+
+    def test_non_finite_json_run_score_is_data_error(self, workspace, tmp_path):
+        lines = open(workspace["run"]).read().splitlines()
+        qid, _, pid, rank, _, tag = lines[0].split()
+        record = (f'{{"query_id": "{qid}", "passage_id": "{pid}", "rank": {rank}, '
+                  f'"score": NaN, "tag": "{tag}"}}')
+        bad = tmp_path / "bad.run"
+        bad.write_text("\n".join([record] + lines[1:]) + "\n")
+        assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2

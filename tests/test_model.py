@@ -11,7 +11,14 @@ from pspt.checkpoint import (
     save_checkpoint_file,
     save_model,
 )
-from pspt.errors import CheckpointError, ConfigError, DataError, SequenceLengthError, VocabularyError
+from pspt.errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    SequenceLengthError,
+    ShapeError,
+    VocabularyError,
+)
 from pspt.model import (
     UNK_ID,
     MicroLM,
@@ -167,6 +174,67 @@ class TestForward:
             tiny_model.forward_logprobs(x)
 
 
+class TestPackedForward:
+    """Segments packed row-wise after a shared prefix equal full sequences."""
+
+    def sequences(self, dtype, seed=111):
+        rng = T.make_rng(seed)
+        prefix = rng.normal(0, 0.5, size=(4, 32)).astype(dtype)
+        segments = [rng.normal(0, 0.5, size=(n, 32)).astype(dtype) for n in (3, 7, 1, 5)]
+        return prefix, segments
+
+    def packed(self, model, prefix, segments, rows=None):
+        x = T.Tensor(np.concatenate(segments))
+        return model.forward_logprobs(x, [len(s) for s in segments], T.Tensor(prefix), rows).data
+
+    def test_prefix_split_equals_full_sequence(self, tiny_model):
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            model = tiny_model.astype(dtype)
+            prefix, segments = self.sequences(dtype)
+            full = np.concatenate([prefix, segments[1]])
+            want = model.forward_logprobs(T.Tensor(full)).data[len(prefix):]
+            got = model.forward_logprobs(T.Tensor(segments[1]), prefix=T.Tensor(prefix)).data
+            np.testing.assert_allclose(got, want, atol=tol, rtol=0)
+
+    def test_packed_segments_match_naive_per_head_reference(self, tiny_model):
+        """float64 against the per-head, per-position numpy loop above."""
+        model = tiny_model.astype(np.float64)
+        prefix, segments = self.sequences(np.float64)
+        got = self.packed(model, prefix, segments)
+        start = 0
+        for seg in segments:
+            want = reference_forward(model, np.concatenate([prefix, seg]))[len(prefix):]
+            np.testing.assert_allclose(got[start:start + len(seg)], want, atol=1e-10, rtol=0)
+            start += len(seg)
+
+    def test_segments_do_not_see_each_other(self, tiny_model):
+        prefix, segments = self.sequences(np.float32)
+        base = self.packed(tiny_model, prefix, segments)
+        moved = [s.copy() for s in segments]
+        moved[1] += 1.0
+        out = self.packed(tiny_model, prefix, moved)
+        np.testing.assert_array_equal(out[:3], base[:3])
+        np.testing.assert_array_equal(out[10:], base[10:])
+        assert not np.array_equal(out[3:10], base[3:10])
+
+    def test_row_grid_selects_and_shapes_output(self, tiny_model):
+        prefix, segments = self.sequences(np.float32)
+        everything = self.packed(tiny_model, prefix, segments)
+        rows = np.array([[0, 2], [5, 9], [10, 15]])
+        got = self.packed(tiny_model, prefix, segments, rows)
+        assert got.shape == (3, 2, tiny_model.config.vocab_size)
+        np.testing.assert_allclose(got, everything[rows], atol=1e-6)
+
+    def test_bad_lengths_and_over_length_rejected(self, tiny_model):
+        prefix, segments = self.sequences(np.float32)
+        x = T.Tensor(np.concatenate(segments))
+        with pytest.raises(ShapeError):
+            tiny_model.forward_logprobs(x, [3, 7, 1, 4], T.Tensor(prefix))
+        long = T.Tensor(np.zeros((13, 32), dtype=np.float32))
+        with pytest.raises(SequenceLengthError):  # 4 prefix rows + 13 > max_seq_len 16
+            tiny_model.forward_logprobs(long, prefix=T.Tensor(prefix))
+
+
 class TestPrecision:
     """float32 is the working precision end to end; float64 only on request."""
 
@@ -177,7 +245,7 @@ class TestPrecision:
     def test_float32_scores_stay_float32(self, tiny_model):
         params = init_pspt_params(tiny_model, hard_prompt="w0 w1", soft_prompt_len=4, seed=2)
         q, d = [5, 6, 7], [8, 9, 10, 11]
-        assert question_loglik(q, d, params, tiny_model).dtype == np.float32
+        assert question_loglik(q, [d], params, tiny_model).dtype == np.float32
         value = score_pspt(q, d, params, tiny_model).value
         assert float(np.float32(value)) == value  # a float32 sum, not a float64 one
 

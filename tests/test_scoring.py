@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
+from pspt import scoring
 from pspt import tensor as T
 from pspt.adapter import assemble_input, init_pspt_params
 from pspt.errors import ConfigError, ContractError, InputError
 from pspt.model import MicroLM, ModelConfig, Vocabulary
 from pspt.scoring import (
+    DEFAULT_UPR_PROMPT,
     Candidate,
+    hard_prompt_loglik,
+    make_pspt_scorer,
     make_upr_scorer,
+    question_loglik,
     rerank,
     rerank_with_scores,
     score_pspt,
@@ -115,6 +120,64 @@ class TestScoreUpr:
             score_upr([4], [5], demo_model, prompt_text="  ")
 
 
+class TestBatchedScoring:
+    """One call over a passage list equals each passage scored alone."""
+
+    def passages(self):
+        rng = T.make_rng(43)
+        return [[int(i) for i in rng.integers(8, 50, size=n)] for n in (0, 1, 5, 12, 3, 30)]
+
+    def check(self, loglik, dtype):
+        q = [10, 11, 12]
+        together = loglik(q, self.passages()).data
+        alone = np.array([loglik(q, [d]).data[0] for d in self.passages()])
+        assert together.dtype == dtype and together.shape == (len(self.passages()),)
+        if dtype == np.float64:
+            np.testing.assert_allclose(together, alone, rtol=0, atol=1e-10)
+        else:
+            assert np.all(np.abs(together - alone) <= 1e-5 * np.abs(alone) + 1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("literal_concat", [False, True])
+    def test_pspt_list_equals_alone(self, demo_model, params, dtype, literal_concat):
+        model, theta = demo_model.astype(dtype), params.astype(dtype)
+        theta.adapter.B.data = T.make_rng(44).normal(0, 0.1, theta.adapter.B.shape).astype(dtype)
+        self.check(lambda q, ds: question_loglik(q, ds, theta, model, literal_concat), dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("example", [None, ([20, 21], [22, 23, 24])])
+    def test_upr_list_equals_alone(self, demo_model, dtype, example):
+        model = demo_model.astype(dtype)
+        self.check(lambda q, ds: hard_prompt_loglik(q, ds, model, DEFAULT_UPR_PROMPT, example),
+                   dtype)
+
+    def test_scorer_score_many_matches_call(self, demo_model, params):
+        texts = ["w1 w2 w3", "w4", "w5 w6 w7 w8 w9 w10 w11", "w12 w13"]
+        for scorer in (make_upr_scorer(demo_model), make_pspt_scorer(demo_model, params),
+                       make_upr_scorer(demo_model, mode="mean")):
+            many = scorer.score_many("w1 w2", texts)
+            one = [scorer("w1 w2", t) for t in texts]
+            np.testing.assert_allclose(many, one, rtol=1e-5, atol=1e-6)
+
+    def test_small_row_budget_splits_the_list_without_changing_scores(self, demo_model,
+                                                                       monkeypatch):
+        scorer = make_upr_scorer(demo_model)
+        texts = [" ".join(f"w{i + j}" for j in range(6)) for i in range(7)]
+        whole = scorer.score_many("w1 w2", texts)
+        calls = []
+        monkeypatch.setattr(scoring, "MAX_PACKED_ROWS", 17)  # two passages per forward
+        monkeypatch.setattr(scoring, "hard_prompt_loglik",
+                            lambda q, ds, *a: calls.append(len(ds)) or hard_prompt_loglik(q, ds, *a))
+        np.testing.assert_allclose(scorer.score_many("w1 w2", texts), whole, rtol=1e-5)
+        assert calls == [2, 2, 2, 1]
+
+    def test_passages_must_be_id_lists(self, demo_model, params):
+        with pytest.raises(ContractError):
+            question_loglik([10], [], params, demo_model)
+        with pytest.raises(ContractError):
+            question_loglik([10], [20, 21], params, demo_model)
+
+
 class TestRerank:
     def test_single_candidate_unchanged(self, demo_model):
         cands = candidates(1)
@@ -159,6 +222,23 @@ class TestRerank:
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
             rerank("w1", [], lambda q, d: 0.0)
+
+    def test_list_scorer_gets_the_whole_list_in_one_call(self):
+        class ListOnly:
+            calls = []
+
+            def score_many(self, question, texts):
+                self.calls.append(list(texts))
+                return [-float(len(t)) for t in texts]
+
+            def __call__(self, question, text):
+                raise AssertionError("scored one candidate at a time")
+
+        scorer = ListOnly()
+        out = rerank_with_scores("w1", candidates(4), scorer)
+        assert scorer.calls == [[c.text for c in candidates(4)]]
+        assert [s for _, s in out] == sorted((-float(len(c.text)) for c in candidates(4)),
+                                             reverse=True)
 
     def test_worker_count_does_not_change_output(self, demo_model):
         scorer = make_upr_scorer(demo_model)

@@ -266,3 +266,111 @@ class TestDeterminismAndDtype:
         x = T.Tensor([1.5, 2.5], requires_grad=True)
         y = x.astype(np.float64)
         assert y.dtype == np.float64 and y.requires_grad
+
+
+def check_gradients(build, arrays, tol=1e-6):
+    """Backward through build(tensors) -> scalar matches float64 central differences."""
+    fd = T.finite_diff_grad(lambda p: build([T.Tensor(a) for a in p]).item(),
+                            [a.copy() for a in arrays], eps=1e-5)
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    T.backward(build(tensors))
+    for t, grad in zip(tensors, fd):
+        assert t.grad is not None and t.grad.shape == t.shape
+        assert max_rel_err(t.grad, grad) < tol
+
+
+def weighted(out, seed=0):
+    """Scalar sum(out * W) for a fixed random W, so every entry matters."""
+    w = T.make_rng(seed, 1).normal(size=out.shape)
+    return T.tsum(T.mul(out, T.Tensor(w)))
+
+
+class TestBatchedOpsGradients:
+    """Finite-difference checks of the N-D generalizations and the new ops."""
+
+    rng = T.make_rng(41)
+
+    def arrays(self, *shapes):
+        return [self.rng.normal(size=s) for s in shapes]
+
+    @pytest.mark.parametrize("sa, sb", [((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)),
+                                        ((3, 4), (2, 4, 5)), ((2, 1, 3, 4), (3, 4, 2))])
+    def test_matmul_batch_axes(self, sa, sb):
+        check_gradients(lambda t: weighted(T.matmul(t[0], t[1])), self.arrays(sa, sb))
+
+    def test_matmul_batch_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="batch"):
+            T.matmul(T.Tensor(np.zeros((2, 3, 4))), T.Tensor(np.zeros((3, 4, 5))))
+
+    @pytest.mark.parametrize("op", [T.softmax_rows, T.log_softmax_rows])
+    def test_softmaxes_over_last_axis(self, op):
+        check_gradients(lambda t: weighted(op(t[0])), self.arrays((2, 3, 5)))
+
+    def test_layer_norm_over_last_axis(self):
+        check_gradients(lambda t: weighted(T.layer_norm(t[0], t[1], t[2])),
+                        self.arrays((2, 3, 6), (6,), (6,)), tol=1e-5)
+
+    def test_reshape_and_permute(self):
+        def build(t):
+            return weighted(T.permute(T.reshape(t[0], (6, 2, 2)), (1, 0, 2)))
+
+        check_gradients(build, self.arrays((6, 4)))
+
+    def test_transpose_swaps_last_two_axes(self):
+        x = T.Tensor(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(T.transpose(x).data, x.data.transpose(0, 2, 1))
+        check_gradients(lambda t: weighted(T.transpose(t[0])), self.arrays((2, 3, 4)))
+
+    def test_split_rows_then_use_parts_differently(self):
+        def build(t):
+            parts = T.split_rows(t[0], [1, 0, 3])
+            return T.add(weighted(parts[0], 1), weighted(T.relu(parts[2]), 2))
+
+        check_gradients(build, self.arrays((4, 4, 2)))
+        check_gradients(lambda t: weighted(T.split_rows(t[0], [2, 3])[1]), self.arrays((5,)))
+
+    def test_split_rows_inverts_concat_rows(self):
+        x = T.Tensor(self.rng.normal(size=(5, 3, 2)))
+        parts = T.split_rows(x, [2, 3])
+        assert [p.shape for p in parts] == [(2, 3, 2), (3, 3, 2)]
+        np.testing.assert_array_equal(T.concat_rows(parts).data, x.data)
+        with pytest.raises(ShapeError):
+            T.split_rows(x, [2, 2])
+
+    def test_concat_rows_along_inner_axis(self):
+        check_gradients(lambda t: weighted(T.concat_rows([t[0], t[1]], axis=1)),
+                        self.arrays((2, 3, 4), (2, 1, 4)))
+
+    def test_tsum_over_one_axis(self):
+        check_gradients(lambda t: weighted(T.tsum(t[0], axis=1)), self.arrays((3, 4, 2)))
+
+    def test_take_entries_with_index_grid(self):
+        rows, cols = [[0, 1], [2, 2]], [[3, 0], [1, 1]]
+        x = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_array_equal(T.take_entries(T.Tensor(x), rows, cols).data,
+                                      [[3.0, 4.0], [9.0, 9.0]])
+        check_gradients(lambda t: weighted(T.take_entries(t[0], rows, cols)), [x])
+
+    @pytest.mark.parametrize("sizes, prefix", [([3, 2, 4], 3), ([2, 3], 0), ([5], 0)])
+    def test_block_attention(self, sizes, prefix):
+        shape = (2, sum(sizes), 3)
+
+        def build(t):
+            return weighted(T.block_attention(t[0], t[1], t[2], sizes, prefix, scale=0.6))
+
+        check_gradients(build, self.arrays(shape, shape, shape), tol=1e-5)
+
+    def test_block_attention_matches_masked_full_attention(self):
+        """Each segment's output equals plain causal attention over prefix + segment."""
+        sizes, prefix = [3, 2, 4], 3
+        q, k, v = self.arrays((2, 9, 3), (2, 9, 3), (2, 9, 3))
+        got = T.block_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), sizes, prefix, 0.6).data
+        starts = [0, 3, 5]
+        for lo, n in zip(starts, sizes):
+            rows = list(range(lo, lo + n)) if lo == 0 else list(range(prefix)) + list(range(lo, lo + n))
+            qs, ks, vs = q[:, rows], k[:, rows], v[:, rows]
+            scores = qs @ ks.transpose(0, 2, 1) * 0.6
+            scores[:, np.triu_indices(len(rows), 1)[0], np.triu_indices(len(rows), 1)[1]] = -np.inf
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            np.testing.assert_allclose(got[:, lo:lo + n], (w @ vs)[:, len(rows) - n:], atol=1e-12)

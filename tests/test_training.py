@@ -10,6 +10,7 @@ from pspt.evaluation import Passage, QaDataset, Question
 from pspt.model import MicroLM, ModelConfig, Vocabulary
 from pspt.scoring import score_pspt
 from pspt.training import (
+    _batch_loss,
     TrainConfig,
     TrainingInstance,
     build_instances,
@@ -174,6 +175,45 @@ class TestLosses:
             t.zero_grad()
         T.backward(loss_total(q, dp, dn, params64, model64))
         for tensor, grad in zip(params64.tensors().values(), fd):
+            denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
+            assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
+
+
+class TestBatchLoss:
+    """The training loss makes one scoring call per question."""
+
+    def setup(self, demo_model, dtype=np.float64):
+        model = demo_model.astype(dtype)
+        params = init_pspt_params(model, soft_prompt_len=3, rank=1, alpha=16.0,
+                                  seed=2).astype(dtype)
+        rng = T.make_rng(71)
+        params.soft_prompt.e1.data += rng.normal(0, 0.05, params.soft_prompt.e1.shape)
+        params.adapter.A.data = rng.normal(0, 0.05, params.adapter.A.shape)
+        params.adapter.B.data = rng.normal(0, 0.05, params.adapter.B.shape)
+        batch = [TrainingInstance(f"q{i}", [10 + i, 11], f"p{i}", [20 + i, 21, 22 + i][: 2 + i % 2],
+                                  f"n{i}", [30 + 2 * i]) for i in range(3)]
+        return model, params, expand_in_batch(batch, 3)
+
+    def test_equals_mean_of_per_pair_losses(self, demo_model):
+        model, params, pairs = self.setup(demo_model)
+        total, point, pair = _batch_loss(pairs, params, model, TrainConfig(pair_weight=0.5))
+        points = [loss_point(p.question, p.positive, params, model).item() for p in pairs]
+        hinges = [loss_pair(p.question, p.positive, p.negative, params, model).item()
+                  for p in pairs]
+        np.testing.assert_allclose(point.item(), np.mean(points), rtol=1e-12)
+        np.testing.assert_allclose(pair.item(), np.mean(hinges), rtol=1e-12)
+        np.testing.assert_allclose(total.item(), np.mean(points) + 0.5 * np.mean(hinges),
+                                   rtol=1e-12)
+
+    def test_gradient_matches_finite_differences(self, demo_model):
+        model, params, pairs = self.setup(demo_model)
+        config = TrainConfig(point_weight=0.7, pair_weight=1.3)
+        arrays = [params.soft_prompt.e1.data, params.adapter.A.data, params.adapter.B.data]
+        # eps 1e-6: at 1e-5 one coordinate of A straddles a ReLU kink of the frozen FFN
+        fd = T.finite_diff_grad(lambda _: _batch_loss(pairs, params, model, config)[0].item(),
+                                arrays, eps=1e-6)
+        T.backward(_batch_loss(pairs, params, model, config)[0])
+        for tensor, grad in zip(params.tensors().values(), fd):
             denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
             assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
 
