@@ -272,9 +272,7 @@ def sequence_cross_entropy(model: MicroLM, corpus: list[list[int]]) -> float:
     seqs = [s for s in corpus if s]
     if not seqs:
         raise DataError("cross-entropy over an empty corpus")
-    # a few sequences per forward keeps memory flat on a large corpus
-    chunks = [seqs[i:i + 16] for i in range(0, len(seqs), 16)]
-    return sum(_mean_sequence_nll(model, c).item() * len(c) for c in chunks) / len(seqs)
+    return float(np.mean([_mean_sequence_nll(model, [s]).item() for s in seqs]))
 
 
 def holdout_split(corpus: list[list[int]], seed: int, fraction: float = 0.1):
@@ -300,12 +298,7 @@ def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, ste
         opt = Adam([(tensors, lr)])
         for _ in range(steps):
             idx = rng.integers(0, len(seqs), size=batch_size)
-            # The packing order of the batch does not change the loss, only its float
-            # rounding, and 1000 Adam steps amplify rounding: acceptance criterion 4's
-            # untrained-UPR baseline H@5 moves between about 0.68 and 0.96 with it.
-            # Reversed order draws a baseline inside that criterion's margin at its
-            # fixed seed; CHANGES.md lists every order and formulation tried.
-            mean_loss = _mean_sequence_nll(model, [seqs[int(i)] for i in idx[::-1]])
+            mean_loss = _mean_sequence_nll(model, [seqs[int(i)] for i in idx])
             opt.zero_grad()
             T.backward(mean_loss)
             clip_global_norm(tensors, 1.0)

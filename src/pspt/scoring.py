@@ -134,33 +134,38 @@ def score_upr(question_ids, passage_ids, model: MicroLM,
     return Score(_scores(sums, question_ids, mode)[0], mode)
 
 
-def _groups(passages: list[list[int]], extra: int, max_rows: int) -> list[list[list[int]]]:
-    """Consecutive runs of passages of at most about max_rows rows in total
-    (one passage may exceed it alone), counting `extra` rows per passage."""
+def _groups(passages: list[list[int]], rows: list[int], max_rows: int) -> list[list[list[int]]]:
+    """Consecutive runs of passages whose segments, of `rows[i]` rows for
+    passage i, total at most max_rows rows (one segment may exceed it alone)."""
     groups: list[list[list[int]]] = []
-    rows = max_rows
-    for d in passages:
-        if rows + len(d) + extra > max_rows:
+    total = max_rows
+    for d, n in zip(passages, rows):
+        if total + n > max_rows:
             groups.append([])
-            rows = 0
+            total = 0
         groups[-1].append(d)
-        rows += len(d) + extra
+        total += n
     return groups
 
 
 class ListScorer:
     """A `(question, passage) -> score` callable whose `score_many` scores a
     candidate list with one packed forward per MAX_PACKED_ROWS rows,
-    encoding the question once."""
+    encoding the question once. A passage token takes
+    `rows_per_passage_token` rows of its segment."""
 
-    def __init__(self, model: MicroLM, mode: str, loglik):
+    def __init__(self, model: MicroLM, mode: str, loglik, rows_per_passage_token: int = 1):
         _check_mode(mode)
         self.model, self.mode, self._loglik = model, mode, loglik
+        self._rows_per_token = rows_per_passage_token
+        self._separator_rows = len(model.vocab.encode(SEPARATOR_TEXT))
 
     def score_many(self, question_text: str, passage_texts: list[str]) -> list[float]:
         q = self.model.vocab.encode(question_text)
         passages = [self.model.vocab.encode(t) for t in passage_texts]
-        return [score for group in _groups(passages, len(q), MAX_PACKED_ROWS)
+        tail = self._separator_rows + len(q)
+        rows = [self._rows_per_token * len(d) + tail for d in passages]
+        return [score for group in _groups(passages, rows, MAX_PACKED_ROWS)
                 for score in _scores(self._loglik(q, group), q, self.mode)]
 
     def __call__(self, question_text: str, passage_text: str) -> float:
@@ -170,7 +175,8 @@ class ListScorer:
 def make_pspt_scorer(model: MicroLM, params: PsptParams, mode: str = "sum",
                      literal_concat: bool = False) -> ListScorer:
     return ListScorer(model, mode, lambda q, ds: question_loglik(q, ds, params, model,
-                                                                 literal_concat))
+                                                                 literal_concat),
+                      rows_per_passage_token=2 if literal_concat else 1)
 
 
 def make_upr_scorer(model: MicroLM, prompt_text: str = DEFAULT_UPR_PROMPT,

@@ -397,22 +397,19 @@ def take_entries(x: Tensor, rows, cols) -> Tensor:
     return _make(x.data[r, c], (x,), backward)
 
 
-def concat_rows(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along `axis` (default: rows); backward splits the gradient."""
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along axis 0; backward splits the gradient."""
     if not parts:
         raise ContractError("concat_rows needs at least one part")
-    ax = axis % parts[0].ndim
-    rest = {p.shape[:ax] + p.shape[ax + 1:] for p in parts}
-    if len(rest) != 1 or len({p.ndim for p in parts}) != 1:
-        raise ShapeError(f"concat_rows shape mismatch off axis {axis}: {[p.shape for p in parts]}")
-    offsets = np.cumsum([0] + [p.shape[ax] for p in parts])
-    lead = (slice(None),) * ax
+    if min(p.ndim for p in parts) < 1 or len({p.shape[1:] for p in parts}) != 1:
+        raise ShapeError(f"concat_rows shape mismatch: {[p.shape for p in parts]}")
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lead + (slice(lo, hi),)])
+            _accumulate(p, g[lo:hi])
 
-    return _make(np.concatenate([p.data for p in parts], axis=ax), tuple(parts), backward)
+    return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
 
 def split_rows(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
@@ -436,8 +433,16 @@ def split_rows(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors along the last axis."""
-    return concat_rows(parts, axis=-1)
+    if not parts:
+        raise ContractError("concat_cols needs at least one part")
+    sizes = [p.shape[1] for p in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accumulate(p, g[:, lo:hi])
+
+    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:

@@ -159,15 +159,24 @@ class TestBatchedScoring:
             one = [scorer("w1 w2", t) for t in texts]
             np.testing.assert_allclose(many, one, rtol=1e-5, atol=1e-6)
 
-    def test_small_row_budget_splits_the_list_without_changing_scores(self, demo_model,
-                                                                       monkeypatch):
-        scorer = make_upr_scorer(demo_model)
+    @pytest.mark.parametrize("literal_concat", [None, False, True])
+    def test_small_row_budget_splits_the_list_without_changing_scores(
+            self, demo_model, params, monkeypatch, literal_concat):
+        # literal_concat None: UPR; otherwise PSPT with or without literal concat
+        if literal_concat is None:
+            scorer, name, fn = make_upr_scorer(demo_model), "hard_prompt_loglik", hard_prompt_loglik
+        else:
+            scorer = make_pspt_scorer(demo_model, params, literal_concat=literal_concat)
+            name, fn = "question_loglik", question_loglik
         texts = [" ".join(f"w{i + j}" for j in range(6)) for i in range(7)]
         whole = scorer.score_many("w1 w2", texts)
+        # a segment is 6 passage tokens (12 rows with literal concat) + 2 separator
+        # + 2 question rows; the budget fits two segments per forward
+        segment_rows = (12 if literal_concat else 6) + 2 + 2
         calls = []
-        monkeypatch.setattr(scoring, "MAX_PACKED_ROWS", 17)  # two passages per forward
-        monkeypatch.setattr(scoring, "hard_prompt_loglik",
-                            lambda q, ds, *a: calls.append(len(ds)) or hard_prompt_loglik(q, ds, *a))
+        monkeypatch.setattr(scoring, "MAX_PACKED_ROWS", 2 * segment_rows + 1)
+        monkeypatch.setattr(scoring, name,
+                            lambda q, ds, *a: calls.append(len(ds)) or fn(q, ds, *a))
         np.testing.assert_allclose(scorer.score_many("w1 w2", texts), whole, rtol=1e-5)
         assert calls == [2, 2, 2, 1]
 

@@ -337,10 +337,6 @@ class TestBatchedOpsGradients:
         with pytest.raises(ShapeError):
             T.split_rows(x, [2, 2])
 
-    def test_concat_rows_along_inner_axis(self):
-        check_gradients(lambda t: weighted(T.concat_rows([t[0], t[1]], axis=1)),
-                        self.arrays((2, 3, 4), (2, 1, 4)))
-
     def test_tsum_over_one_axis(self):
         check_gradients(lambda t: weighted(T.tsum(t[0], axis=1)), self.arrays((3, 4, 2)))
 
