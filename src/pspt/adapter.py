@@ -58,9 +58,6 @@ class PsptParams:
             "pspt.B": self.adapter.B,
         }
 
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors().values())
-
     def copy(self) -> "PsptParams":
         sp = SoftPrompt(Tensor(self.soft_prompt.e1.data.copy(), requires_grad=True),
                         self.soft_prompt.init_text)
@@ -215,9 +212,12 @@ def load_params(path) -> PsptParams:
     for name in ("pspt.e1", "pspt.A", "pspt.B"):
         if name not in ckpt.buffers:
             raise CheckpointError(f"missing adapter buffer {name!r}")
+    try:
+        rank, alpha = int(ckpt.meta["r"]), float(ckpt.meta["alpha"])
+    except (KeyError, TypeError, ValueError):
+        raise CheckpointError("adapter checkpoint meta needs numeric 'r' and 'alpha'") from None
     soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"], requires_grad=True),
                       ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT))
     adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"], requires_grad=True),
-                             Tensor(ckpt.buffers["pspt.B"], requires_grad=True),
-                             int(ckpt.meta["r"]), float(ckpt.meta["alpha"]))
+                             Tensor(ckpt.buffers["pspt.B"], requires_grad=True), rank, alpha)
     return PsptParams(soft, adapter)

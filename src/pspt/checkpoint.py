@@ -3,18 +3,20 @@
 Layout: magic "PSPT" | u32 version | u64 header length | JSON header |
 raw little-endian float32 buffers in header order. The JSON header holds
 the model config, the vocabulary, free-form metadata, and the buffer
-index (name + shape per buffer). Round trips are bit-exact.
+index (name + shape per buffer). Round trips are bit-exact. The reader
+checks the header's structure and that the last buffer ends the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import MicroLM, ModelConfig, Vocabulary
 from .tensor import Tensor
 
@@ -25,9 +27,9 @@ VERSION = 1
 @dataclass
 class Checkpoint:
     buffers: dict[str, np.ndarray]
-    config: ModelConfig | None = None
-    vocab: Vocabulary | None = None
-    meta: dict = field(default_factory=dict)
+    config: ModelConfig | None
+    vocab: Vocabulary | None
+    meta: dict
 
 
 def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
@@ -36,7 +38,7 @@ def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
                          meta: dict | None = None) -> None:
     names = sorted(buffers)
     header = {
-        "config": config.to_dict() if config is not None else None,
+        "config": asdict(config) if config is not None else None,
         "vocab": vocab.tokens if vocab is not None else None,
         "meta": meta or {},
         "buffers": [{"name": n, "shape": list(buffers[n].shape)} for n in names],
@@ -66,25 +68,42 @@ def load_checkpoint_file(path) -> Checkpoint:
         header = json.loads(raw[16 : 16 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("buffers"), list):
+        raise CheckpointError("header has no buffer index")
     offset = 16 + header_len
     buffers: dict[str, np.ndarray] = {}
     for entry in header["buffers"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list) and all(map(_is_count, entry["shape"]))):
+            raise CheckpointError(f"malformed buffer entry {entry!r}")
         name, shape = entry["name"], tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        nbytes = math.prod(shape) * 4
         if offset + nbytes > len(raw):
             raise CheckpointError(f"truncated payload at buffer {name!r}")
         buffers[name] = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset).reshape(shape).copy()
         offset += nbytes
-    config = ModelConfig(**header["config"]) if header.get("config") else None
-    vocab = Vocabulary(header["vocab"]) if header.get("vocab") is not None else None
-    return Checkpoint(buffers=buffers, config=config, vocab=vocab, meta=header.get("meta", {}))
+    if offset != len(raw):
+        raise CheckpointError(f"{len(raw) - offset} trailing bytes after the last buffer")
+    config, vocab, meta = header.get("config"), header.get("vocab"), header.get("meta", {})
+    if config and not (isinstance(config, dict) and all(map(_is_count, config.values()))):
+        raise CheckpointError(f"model config {config!r} is not an object of integers")
+    if vocab is not None and not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
+        raise CheckpointError("vocabulary is not a list of strings")
+    if not isinstance(meta, dict):
+        raise CheckpointError("header meta is not an object")
+    try:  # unknown or missing config fields, values out of range, repeated tokens
+        return Checkpoint(buffers, ModelConfig(**config) if config else None,
+                          None if vocab is None else Vocabulary(vocab), meta)
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"invalid model config or vocabulary: {exc}") from None
 
 
-def save_model(model: MicroLM, path, meta: dict | None = None,
-               extra_buffers: dict[str, np.ndarray] | None = None) -> None:
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
+def save_model(model: MicroLM, path, meta: dict | None = None) -> None:
     buffers = {name: p.data for name, p in model.params.items()}
-    if extra_buffers:
-        buffers.update(extra_buffers)
     save_checkpoint_file(path, buffers, config=model.config, vocab=model.vocab, meta=meta)
 
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .adapter import init_pspt_params, load_params, save_params
+from .adapter import DEFAULT_HARD_PROMPT, init_pspt_params, load_params, save_params
 from .checkpoint import load_model, save_model
 from .errors import (
     CheckpointError,
@@ -36,20 +37,26 @@ from .evaluation import (
     write_run_file,
 )
 from .model import MicroLM, ModelConfig, Vocabulary, continue_pretraining, pretrain_micro_lm
-from .scoring import Candidate, make_pspt_scorer, make_upr_scorer, rerank_with_scores
+from .scoring import (
+    DEFAULT_UPR_PROMPT,
+    Candidate,
+    make_pspt_scorer,
+    make_upr_scorer,
+    rerank_with_scores,
+)
 from .training import TrainConfig, build_instances, train, write_train_log
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
+
+# ModelConfig's architecture fields; vocab_size comes from the vocabulary
+_ARCHITECTURE = {f.name: f.default for f in dataclasses.fields(ModelConfig)
+                 if f.name != "vocab_size"}
 
 DEFAULTS: dict = {
     "seed": 0,
     "workers": 1,
     "model": {
-        "dim": 128,
-        "n_layers": 4,
-        "n_heads": 4,
-        "max_seq_len": 256,
-        "ffn_mult": 4,
+        **_ARCHITECTURE,
         "vocab_cap": 2048,
         "pretrain_steps": 0,
         "pretrain_batch_size": 8,
@@ -60,28 +67,18 @@ DEFAULTS: dict = {
         "soft_prompt_len": 50,
         "rank": 1,
         "alpha": 16.0,
-        "hard_prompt": "please generate question for this passage",
+        "hard_prompt": DEFAULT_HARD_PROMPT,
         "literal_concat": False,
     },
     "scoring": {
         "score_mode": "sum",
-        "upr_prompt": "Please generate question for this passage:",
+        "upr_prompt": DEFAULT_UPR_PROMPT,
         "upr_example_question": None,
         "upr_example_passage": None,
     },
-    "train": {
-        "batch_size": 4,
-        "in_batch_negatives": 4,
-        "epochs": 20,
-        "lr_soft_prompt": 3e-2,
-        "lr_adapter": 3e-5,
-        "early_stop_patience": 3,
-        "train_sample_size": 320,
-        "dev_fraction": 0.1,
-        "grad_clip": 1.0,
-        "point_weight": 1.0,
-        "pair_weight": 1.0,
-    },
+    # seed is top-level and literal_concat lives under "adapter"
+    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig)
+              if f.name not in ("seed", "literal_concat")},
     "eval": {
         "k_list": [5, 10],
         "capped_recall": False,
@@ -97,6 +94,21 @@ DEFAULTS: dict = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether a config value has its default's type. Ints pass for floats,
+    only bools pass for bools, a null default takes a string or null, and
+    list elements must fit the default's first element."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(d, v) for d in default[:1] for v in value)
+    return isinstance(value, type(default))
+
+
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
     merged = copy.deepcopy(defaults)
     unknown = []
@@ -109,8 +121,11 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {where!r} must be an object")
             merged[key] = _merge(defaults[key], value, where)
-        else:
+        elif _fits(defaults[key], value):
             merged[key] = value
+        else:
+            raise ConfigError(f"config key {where!r} must have the type of its default "
+                              f"{defaults[key]!r}, got {value!r}")
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return merged
@@ -122,8 +137,8 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -160,10 +175,8 @@ def _out_path(config: dict, key: str, override: str | None) -> Path:
 
 
 def _model_config(config: dict, vocab_size: int) -> ModelConfig:
-    m = config["model"]
-    return ModelConfig(vocab_size=vocab_size, dim=m["dim"], n_layers=m["n_layers"],
-                       n_heads=m["n_heads"], max_seq_len=m["max_seq_len"],
-                       ffn_mult=m["ffn_mult"])
+    return ModelConfig(vocab_size=vocab_size,
+                       **{name: config["model"][name] for name in _ARCHITECTURE})
 
 
 def _theta_count(config: dict, vocab_size: int) -> int:
@@ -210,13 +223,7 @@ def cmd_pretrain(config: dict, args) -> int:
 
 
 def _train_config(config: dict) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(batch_size=t["batch_size"], in_batch_negatives=t["in_batch_negatives"],
-                       epochs=t["epochs"], lr_soft_prompt=t["lr_soft_prompt"],
-                       lr_adapter=t["lr_adapter"], early_stop_patience=t["early_stop_patience"],
-                       seed=config["seed"], train_sample_size=t["train_sample_size"],
-                       dev_fraction=t["dev_fraction"], grad_clip=t["grad_clip"],
-                       point_weight=t["point_weight"], pair_weight=t["pair_weight"],
+    return TrainConfig(**config["train"], seed=config["seed"],
                        literal_concat=config["adapter"]["literal_concat"])
 
 
@@ -264,7 +271,6 @@ def cmd_rerank(config: dict, args) -> int:
     model = load_model(_out_path(config, "model_checkpoint", args.checkpoint))
     scorer = _build_scorer(config, args, model)
     run_in = read_run_file(args.run_in)
-    workers = args.workers if args.workers is not None else config["workers"]
     queries: dict[str, list[RunEntry]] = {}
     for qid in sorted(run_in.queries):
         if qid not in dataset.by_id:
@@ -274,7 +280,7 @@ def cmd_rerank(config: dict, args) -> int:
             Candidate(e.passage_id, dataset.passage_text(e.passage_id), e.rank, e.score)
             for e in run_in.queries[qid]
         ]
-        ranked = rerank_with_scores(question.text, candidates, scorer, workers=workers)
+        ranked = rerank_with_scores(question.text, candidates, scorer)
         queries[qid] = [RunEntry(c.passage_id, i + 1, s) for i, (c, s) in enumerate(ranked)]
     out_run = RetrievalRun(args.scorer, queries)
     write_run_file(out_run, args.run_out)
@@ -363,14 +369,12 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        if args.workers is not None:
-            config["workers"] = args.workers
         return COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, ParseError, InputError, VocabularyError, CheckpointError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

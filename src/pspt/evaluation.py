@@ -63,16 +63,11 @@ class QaDataset:
     def has_passage(self, passage_id: str) -> bool:
         return passage_id in self._passage_texts
 
-    def all_passages(self) -> list[tuple[str, str]]:
-        return list(self._passage_texts.items())
-
     def relevant_ids(self, question_id: str) -> set[str]:
         return {p.passage_id for p in self.by_id[question_id].passages if p.relevant}
 
     def texts(self) -> list[str]:
-        out = [q.text for q in self.questions]
-        out += [text for _, text in self.all_passages()]
-        return out
+        return [q.text for q in self.questions] + list(self._passage_texts.values())
 
 
 def _parse_question_record(line_no: int, rec) -> Question:
@@ -86,6 +81,8 @@ def _parse_question_record(line_no: int, rec) -> Question:
     if not isinstance(rec["passages"], list) or not rec["passages"]:
         raise ParseError(line_no, "passages must be a non-empty list")
     for p in rec["passages"]:
+        if not isinstance(p, dict):
+            raise ParseError(line_no, f"passage {p!r} is not a JSON object")
         for fld in ("passage_id", "text", "relevant"):
             if fld not in p:
                 raise ParseError(line_no, f"passage missing required field {fld!r}")
@@ -166,10 +163,10 @@ class RetrievalRun:
         return [e.passage_id for e in self.queries[qid]]
 
 
-def read_run_file(path, tag: str | None = None) -> RetrievalRun:
-    """Parse a TREC-style or JSON-lines run file."""
+def read_run_file(path) -> RetrievalRun:
+    """Parse a TREC-style or JSON-lines run file; the first line's tag names the run."""
     grouped: dict[str, list[RunEntry]] = {}
-    file_tag = tag
+    file_tag = None
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             stripped = line.strip()
@@ -218,8 +215,9 @@ def write_run_file(run: RetrievalRun, path) -> None:
 class Bm25Index:
     """Okapi BM25 over a small in-memory passage pool."""
 
-    def __init__(self, docs: Iterable[tuple[str, str]], k1: float = 0.9, b: float = 0.4):
-        self.k1, self.b = k1, b
+    k1, b = 0.9, 0.4
+
+    def __init__(self, docs: Iterable[tuple[str, str]]):
         self.doc_tokens: dict[str, list[str]] = {pid: tokenize_text(text) for pid, text in docs}
         if not self.doc_tokens:
             raise DataError("BM25 index over an empty passage pool")
@@ -257,24 +255,16 @@ class Bm25Index:
         return [RunEntry(pid, rank, score) for rank, (pid, score) in enumerate(scored[:k], 1)]
 
 
-def bm25_retrieve(dataset: QaDataset, question_id: str, k: int,
-                  corpus_mode: bool = False, k1: float = 0.9, b: float = 0.4) -> list[RunEntry]:
-    """Top-k BM25 entries over the question's own pool or the global corpus."""
+def bm25_retrieve(dataset: QaDataset, question_id: str, k: int) -> list[RunEntry]:
+    """Top-k BM25 entries over the question's own passage pool."""
     question = dataset.by_id[question_id]
-    pool = dataset.all_passages() if corpus_mode else [(p.passage_id, p.text) for p in question.passages]
-    return Bm25Index(pool, k1=k1, b=b).top_k(question.text, k)
+    return Bm25Index((p.passage_id, p.text) for p in question.passages).top_k(question.text, k)
 
 
-def bm25_run(dataset: QaDataset, k: int, corpus_mode: bool = False,
-             k1: float = 0.9, b: float = 0.4, tag: str = "bm25") -> RetrievalRun:
-    index = Bm25Index(dataset.all_passages(), k1=k1, b=b) if corpus_mode else None
-    queries = {}
-    for q in dataset.questions:
-        if index is not None:
-            queries[q.question_id] = index.top_k(q.text, k)
-        else:
-            queries[q.question_id] = bm25_retrieve(dataset, q.question_id, k, k1=k1, b=b)
-    return RetrievalRun(tag, queries)
+def bm25_run(dataset: QaDataset, k: int) -> RetrievalRun:
+    """Run tagged "bm25": each question's own pool, ranked by BM25."""
+    return RetrievalRun("bm25", {q.question_id: bm25_retrieve(dataset, q.question_id, k)
+                                 for q in dataset.questions})
 
 
 # --------------------------------------------------------------------------

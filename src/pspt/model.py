@@ -53,11 +53,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._id_of.get(token, UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        if token_id < len(RESERVED_TOKENS):
-            return RESERVED_TOKENS[token_id]
-        return self.tokens[token_id - len(RESERVED_TOKENS)]
-
     def encode(self, text: str) -> list[int]:
         return [self.id_of(tok) for tok in tokenize_text(text)]
 
@@ -89,16 +84,6 @@ class ModelConfig:
             raise ConfigError(f"dim {self.dim} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < len(RESERVED_TOKENS):
             raise ConfigError(f"vocab_size must be at least {len(RESERVED_TOKENS)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "dim": self.dim,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "max_seq_len": self.max_seq_len,
-            "ffn_mult": self.ffn_mult,
-        }
 
 
 class MicroLM:
@@ -275,10 +260,10 @@ def sequence_cross_entropy(model: MicroLM, corpus: list[list[int]]) -> float:
     return float(np.mean([_mean_sequence_nll(model, [s]).item() for s in seqs]))
 
 
-def holdout_split(corpus: list[list[int]], seed: int, fraction: float = 0.1):
-    """Deterministic train/dev split of a token-sequence corpus."""
+def holdout_split(corpus: list[list[int]], seed: int):
+    """Deterministic train/dev split of a token-sequence corpus, 10% dev."""
     order = T.make_rng(seed, 1).permutation(len(corpus))
-    n_dev = min(max(1, int(len(corpus) * fraction)), len(corpus) - 1) if len(corpus) > 1 else 0
+    n_dev = min(max(1, int(len(corpus) * 0.1)), len(corpus) - 1) if len(corpus) > 1 else 0
     dev_idx = set(order[:n_dev].tolist())
     train = [corpus[i] for i in range(len(corpus)) if i not in dev_idx]
     dev = [corpus[i] for i in sorted(dev_idx)]

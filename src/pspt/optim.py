@@ -29,11 +29,10 @@ class Adam:
     is just a shrinking scale factor.
     """
 
-    def __init__(self, groups: list[tuple[list[Tensor], float]],
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups: list[tuple[list[Tensor], float]]):
         self.groups = [(list(tensors), float(lr)) for tensors, lr in groups]
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = {}
         self._v = {}

@@ -199,14 +199,13 @@ def _validate_candidates(candidates: list[Candidate]) -> None:
         seen.add(c.passage_id)
 
 
-def rerank_with_scores(question_text: str, candidates: list[Candidate], scorer: Scorer,
-                       workers: int = 1) -> list[tuple[Candidate, float]]:
+def rerank_with_scores(question_text: str, candidates: list[Candidate],
+                       scorer: Scorer) -> list[tuple[Candidate, float]]:
     """Score every candidate once and sort by score descending.
 
     Ties keep retriever order. A scorer with `score_many` scores the whole
     list in one call; plain `(question, passage) -> score` callables are
-    called per candidate. `workers` is accepted for compatibility and has
-    no effect.
+    called per candidate.
     """
     _validate_candidates(candidates)
     texts = [c.text for c in candidates]
@@ -220,7 +219,6 @@ def rerank_with_scores(question_text: str, candidates: list[Candidate], scorer: 
     return [(candidates[i], scores[i]) for i in order]
 
 
-def rerank(question_text: str, candidates: list[Candidate], scorer: Scorer,
-           workers: int = 1) -> list[Candidate]:
+def rerank(question_text: str, candidates: list[Candidate], scorer: Scorer) -> list[Candidate]:
     """Permutation of the input candidates, best PSPT/UPR score first."""
-    return [c for c, _ in rerank_with_scores(question_text, candidates, scorer, workers)]
+    return [c for c, _ in rerank_with_scores(question_text, candidates, scorer)]

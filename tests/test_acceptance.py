@@ -146,6 +146,7 @@ def _rerank_run(dataset, base_run, scorer, tag):
     return RetrievalRun(tag, queries)
 
 
+@pytest.mark.slow
 def test_criterion_4_synthetic_end_to_end():
     """Trained reranking beats BM25 and untrained UPR by 10+ points of H@5."""
     t0 = time.time()

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import re
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,49 @@ class TestConfig:
         fields = {f.name: f.default for f in dataclasses.fields(ModelConfig)}
         for name in ("dim", "n_layers", "n_heads", "max_seq_len", "ffn_mult"):
             assert DEFAULTS["model"][name] == fields[name], name
+
+    def test_readme_defaults_block_equals_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"All keys with defaults.*?```json\n(.*?)```", readme, re.S).group(1)
+        documented = json.loads(block)
+        assert documented == DEFAULTS
+        assert json.dumps(documented) == json.dumps(DEFAULTS)  # key order too
+
+    @pytest.mark.parametrize("override", [
+        {"model": {"dim": "64"}},
+        {"seed": 1.5},
+        {"train": {"epochs": 2.0}},
+        {"train": {"lr_adapter": "3e-5"}},
+        {"train": {"batch_size": True}},
+        {"adapter": {"literal_concat": 1}},
+        {"eval": {"k_list": ["5"]}},
+        {"eval": {"k_list": 5}},
+        {"paths": {"dataset": 7}},
+        {"scoring": {"upr_prompt": None}},
+    ])
+    def test_value_of_wrong_type_rejected(self, tmp_path, override):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(override))
+        with pytest.raises(ConfigError, match="type of its default"):
+            load_config(path)
+
+    def test_ints_for_floats_and_strings_for_null_defaults_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"lr_adapter": 1, "dev_fraction": 0},
+                                    "eval": {"baseline_tag": "bm25", "k_list": [1, 3]},
+                                    "paths": {"dataset": None}}))
+        config = load_config(path)
+        assert config["train"]["lr_adapter"] == 1 and config["eval"]["baseline_tag"] == "bm25"
+
+    def test_wrong_type_is_exit_1(self, workspace, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": {"dim": "64"},
+                                    "paths": {"dataset": str(workspace["dataset_path"])}}))
+        assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
+        assert "model.dim" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory_is_exit_1(self, tmp_path):
+        assert main(["--config", str(tmp_path), "init-model"]) == 1
 
 
 class TestInitModel:
@@ -203,6 +249,12 @@ class TestRerank:
                      "--checkpoint", str(trained["model"])])
         assert code == 1
 
+    def test_run_in_directory_is_data_error(self, workspace, trained, tmp_path):
+        code = main(["--config", workspace["config"], "rerank", "--run-in", str(tmp_path),
+                     "--run-out", str(tmp_path / "o.run"), "--scorer", "upr",
+                     "--checkpoint", str(trained["model"])])
+        assert code == 2
+
     def test_unknown_query_id_is_data_error(self, workspace, trained, tmp_path):
         bad_run = tmp_path / "bad.run"
         bad_run.write_text("nope Q0 d0001 1 1.0 t\n")
@@ -264,3 +316,88 @@ class TestMalformedInput:
         bad = tmp_path / "bad.run"
         bad.write_text("\n".join([record] + lines[1:]) + "\n")
         assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2
+
+    def test_passage_that_is_not_an_object_is_data_error(self, workspace, tmp_path):
+        lines = workspace["dataset_path"].read_text().splitlines()
+        record = json.loads(lines[0])
+        record["passages"][0] = "passage_id text relevant"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        assert main(["--config", workspace["config"], "eval", "--dataset", str(bad),
+                     "--run", workspace["run"]]) == 2
+
+
+def _rewrite_checkpoint(src, dst, mutate=None, tail=b""):
+    """Copy a checkpoint with its JSON header changed by `mutate` and `tail`
+    appended after the last buffer."""
+    raw = Path(src).read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + n])
+    if mutate is not None:
+        mutate(header)
+    encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    Path(dst).write_bytes(raw[:8] + struct.pack("<Q", len(encoded)) + encoded + raw[16 + n:] + tail)
+
+
+def _set_shape(name, shape):
+    def mutate(header):
+        next(e for e in header["buffers"] if e["name"] == name)["shape"] = shape
+    return mutate
+
+
+class TestMalformedCheckpoint:
+    """A structurally invalid checkpoint is a CheckpointError: exit 2 with a data error."""
+
+    def rerank(self, workspace, tmp_path, checkpoint, params=None):
+        scorer = ["--scorer", "pspt", "--params", str(params)] if params else ["--scorer", "upr"]
+        return main(["--config", workspace["config"], "rerank", "--run-in", workspace["run"],
+                     "--run-out", str(tmp_path / "o.run"), "--checkpoint", str(checkpoint),
+                     *scorer])
+
+    def assert_data_error(self, code, capsys):
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h.pop("buffers"),
+        lambda h: h["buffers"][0].pop("shape"),
+        lambda h: h["buffers"].append("tok_emb"),
+    ], ids=["no-buffer-index", "entry-without-shape", "entry-not-an-object"])
+    def test_missing_or_malformed_buffer_index(self, workspace, trained, tmp_path, capsys,
+                                               mutate):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["model"], bad, mutate)
+        self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    @pytest.mark.parametrize("change", [{"colour": 3}, {"dim": "16"}],
+                             ids=["unknown-key", "string-value"])
+    def test_unknown_or_ill_typed_config_key(self, workspace, trained, tmp_path, capsys,
+                                             change):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["model"], bad, lambda h: h["config"].update(change))
+        self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    @pytest.mark.parametrize("shape", [[-1, 4], [4.0, 4]], ids=["negative", "float"])
+    def test_negative_or_non_integer_shape(self, workspace, trained, tmp_path, capsys, shape):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["model"], bad, _set_shape("ln_f.beta", shape))
+        self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    def test_trailing_bytes(self, workspace, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["model"], bad, tail=b"\0" * 4)
+        self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    @pytest.mark.parametrize("key", ["r", "alpha"])
+    def test_adapter_meta_without_rank_or_alpha(self, workspace, trained, tmp_path, capsys,
+                                                key):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["theta"], bad, lambda h: h["meta"].pop(key))
+        self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
+
+    def test_rewritten_but_unchanged_checkpoint_still_loads(self, workspace, trained,
+                                                            tmp_path):
+        same = tmp_path / "same.ckpt"
+        _rewrite_checkpoint(trained["model"], same)
+        assert same.read_bytes() == trained["model"].read_bytes()
+        assert self.rerank(workspace, tmp_path, same) == 0
