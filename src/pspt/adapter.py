@@ -106,6 +106,18 @@ def init_pspt_params(model: MicroLM, hard_prompt: str = DEFAULT_HARD_PROMPT,
     return PsptParams(soft, adapter)
 
 
+def check_params_fit(params: PsptParams, model: MicroLM) -> None:
+    """Raise CheckpointError unless loaded params fit the model: e1 is
+    [l_s >= 1, dim], A is [vocab, r] and B is [r, dim], with r >= 1."""
+    dim, vocab, r = model.config.dim, model.config.vocab_size, params.adapter.rank
+    e1, a, b = params.soft_prompt.e1, params.adapter.A, params.adapter.B
+    if not (r >= 1 and a.shape == (vocab, r) and b.shape == (r, dim)
+            and e1.ndim == 2 and e1.shape[0] >= 1 and e1.shape[1] == dim):
+        raise CheckpointError(
+            f"adapter shapes e1 {e1.shape}, A {a.shape}, B {b.shape} (r={r}) do not fit "
+            f"a model of vocabulary {vocab} and width {dim}")
+
+
 def passage_embedding(passage_ids, params: PsptParams, model: MicroLM) -> Tensor:
     """Adapted passage embeddings: gather(A)[d] @ B * (alpha/rank) + frozen rows."""
     ids = model.validate_ids(passage_ids)
@@ -122,17 +134,15 @@ class AssembledInput:
     lengths: list[int]  # rows per segment, in order; they sum to the row count
 
 
-def assemble_segments(model: MicroLM, passages, question_ids, passage_blocks_fn,
-                      rows_per_passage_token: int = 1, prefix_rows: int = 0) -> AssembledInput:
-    """Pack one [passage block; separator; question] segment per passage,
+def assemble_segments(model: MicroLM, passages, question_ids, embed_passages,
+                      prefix_rows: int = 0) -> AssembledInput:
+    """Pack one [passage rows; separator; question] segment per passage,
     row-wise, each to follow a shared prefix of `prefix_rows` rows.
 
-    `passage_blocks_fn` maps the kept ids of all passages, concatenated,
-    to `rows_per_passage_token` tensors with one row per id; a passage's
-    block is its rows from each tensor in turn. The tensor work is done
-    once for the whole list. Passages are truncated from the right so
-    that prefix and segment fit max_seq_len; questions are never
-    truncated.
+    `embed_passages` maps the kept ids of all passages, concatenated, to
+    one row per id, so the tensor work is done once for the whole list.
+    Passages are truncated from the right so that prefix and segment fit
+    max_seq_len; questions are never truncated.
     """
     question_ids = model.validate_ids(question_ids)
     if not question_ids:
@@ -144,17 +154,16 @@ def assemble_segments(model: MicroLM, passages, question_ids, passage_blocks_fn,
             f"prompt ({prefix_rows}) + separator ({len(tail_ids) - len(question_ids)}) + "
             f"question ({len(question_ids)}) exceed max_seq_len {model.config.max_seq_len}"
         )
-    kept = [list(d)[: budget // rows_per_passage_token] for d in passages]
+    kept = [list(d)[:budget] for d in passages]
     n_kept = sum(len(d) for d in kept)
-    blocks = passage_blocks_fn([t for d in kept for t in d])
-    table = T.concat_rows([*blocks, model.embed(tail_ids)])  # block rows, then the tail
-    tail = range(rows_per_passage_token * n_kept, rows_per_passage_token * n_kept + len(tail_ids))
+    rows = embed_passages([t for d in kept for t in d])
+    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tail
+    tail = range(n_kept, n_kept + len(tail_ids))
     index, lengths, targets = [], [], []
-    first = 0  # this passage's first row within each block
+    first = 0  # this passage's first row in the table
     for d in kept:
         seg_start = len(index)
-        for b in range(rows_per_passage_token):
-            index.extend(range(b * n_kept + first, b * n_kept + first + len(d)))
+        index.extend(range(first, first + len(d)))
         index.extend(tail)
         first += len(d)
         lengths.append(len(index) - seg_start)
@@ -163,37 +172,22 @@ def assemble_segments(model: MicroLM, passages, question_ids, passage_blocks_fn,
 
 
 def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
-                    passage_blocks_fn, rows_per_passage_token: int = 1) -> AssembledInput:
+                    embed_passages) -> AssembledInput:
     """One full sequence: the prefix blocks, then the passage's segment from
     assemble_segments; positions count from the start of the prefix."""
     n_pre = sum(b.shape[0] for b in prefix_blocks)
-    seg = assemble_segments(model, [passage_ids], question_ids, passage_blocks_fn,
-                            rows_per_passage_token, prefix_rows=n_pre)
+    seg = assemble_segments(model, [passage_ids], question_ids, embed_passages,
+                            prefix_rows=n_pre)
     x = T.concat_rows([*prefix_blocks, seg.embeddings])
     return AssembledInput(x, [n_pre + r for r in seg.target_positions], seg.target_ids,
                           [x.shape[0]])
 
 
-def pspt_passage_blocks(params: PsptParams, model: MicroLM, literal_concat: bool = False):
-    """The passage_blocks_fn of PSPT: adapted passage rows, then with
-    literal_concat the raw frozen rows as a second block."""
-    def blocks(ids):
-        adapted = passage_embedding(ids, params, model)
-        return [adapted, model.embed(ids)] if literal_concat else [adapted]
-
-    return blocks
-
-
-def assemble_input(params: PsptParams, passage_ids, question_ids, model: MicroLM,
-                   literal_concat: bool = False) -> AssembledInput:
-    """Model input for PSPT scoring: [e1; adapted passage; sep; question].
-
-    With literal_concat the raw frozen passage embeddings are appended
-    after the adapted ones as a separate block.
-    """
+def assemble_input(params: PsptParams, passage_ids, question_ids,
+                   model: MicroLM) -> AssembledInput:
+    """Model input for PSPT scoring: [e1; adapted passage; sep; question]."""
     return assemble_blocks(model, [params.soft_prompt.e1], passage_ids, question_ids,
-                           pspt_passage_blocks(params, model, literal_concat),
-                           rows_per_passage_token=2 if literal_concat else 1)
+                           lambda ids: passage_embedding(ids, params, model))
 
 
 def save_params(params: PsptParams, path) -> None:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import MicroLM, ModelConfig, Vocabulary
+from .model import MicroLM, ModelConfig, Vocabulary, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"PSPT"
@@ -111,7 +111,13 @@ def load_model(path) -> MicroLM:
     ckpt = load_checkpoint_file(path)
     if ckpt.config is None or ckpt.vocab is None:
         raise CheckpointError("checkpoint carries no model config/vocabulary")
-    params = {
-        name: Tensor(arr) for name, arr in ckpt.buffers.items() if not name.startswith("pspt.")
-    }
-    return MicroLM(ckpt.config, ckpt.vocab, params)
+    params = {name: Tensor(arr) for name, arr in ckpt.buffers.items()}
+    shapes, expected = {n: t.shape for n, t in params.items()}, param_shapes(ckpt.config)
+    if shapes != expected:  # a shape of None is a missing or unknown buffer
+        bad = [f"{n} {shapes.get(n)} (expected {expected.get(n)})"
+               for n in sorted(shapes.keys() | expected.keys()) if shapes.get(n) != expected.get(n)]
+        raise CheckpointError(f"buffers disagree with the model config: {', '.join(bad)}")
+    try:
+        return MicroLM(ckpt.config, ckpt.vocab, params)
+    except ConfigError as exc:  # vocabulary size differs from config
+        raise CheckpointError(str(exc)) from None

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .adapter import DEFAULT_HARD_PROMPT, init_pspt_params, load_params, save_params
+from .adapter import check_params_fit, init_pspt_params, load_params, save_params
 from .checkpoint import load_model, save_model
 from .errors import (
     CheckpointError,
@@ -24,7 +25,6 @@ from .errors import (
     DataError,
     InputError,
     NumericError,
-    ParseError,
     PsptError,
     VocabularyError,
 )
@@ -52,33 +52,34 @@ EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 _ARCHITECTURE = {f.name: f.default for f in dataclasses.fields(ModelConfig)
                  if f.name != "vocab_size"}
 
+
+def _default(fn, name: str):
+    """The default of keyword `name` of `fn`, so that it is written once."""
+    return inspect.signature(fn).parameters[name].default
+
+
 DEFAULTS: dict = {
     "seed": 0,
     "workers": 1,
     "model": {
         **_ARCHITECTURE,
-        "vocab_cap": 2048,
+        "vocab_cap": _default(Vocabulary.from_texts, "cap"),
         "pretrain_steps": 0,
-        "pretrain_batch_size": 8,
-        "pretrain_lr": 1e-3,
+        "pretrain_batch_size": _default(continue_pretraining, "batch_size"),
+        "pretrain_lr": _default(continue_pretraining, "lr"),
         "pretrain_pack_len": 90,
     },
-    "adapter": {
-        "soft_prompt_len": 50,
-        "rank": 1,
-        "alpha": 16.0,
-        "hard_prompt": DEFAULT_HARD_PROMPT,
-        "literal_concat": False,
-    },
+    # init_pspt_params's keywords, under their own names
+    "adapter": {name: _default(init_pspt_params, name)
+                for name in ("soft_prompt_len", "rank", "alpha", "hard_prompt")},
     "scoring": {
         "score_mode": "sum",
         "upr_prompt": DEFAULT_UPR_PROMPT,
         "upr_example_question": None,
         "upr_example_passage": None,
     },
-    # seed is top-level and literal_concat lives under "adapter"
-    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig)
-              if f.name not in ("seed", "literal_concat")},
+    # seed is top-level
+    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "seed"},
     "eval": {
         "k_list": [5, 10],
         "capped_recall": False,
@@ -174,11 +175,6 @@ def _out_path(config: dict, key: str, override: str | None) -> Path:
     return out_dir / config["paths"][key]
 
 
-def _model_config(config: dict, vocab_size: int) -> ModelConfig:
-    return ModelConfig(vocab_size=vocab_size,
-                       **{name: config["model"][name] for name in _ARCHITECTURE})
-
-
 def _theta_count(config: dict, vocab_size: int) -> int:
     a = config["adapter"]
     dim = config["model"]["dim"]
@@ -187,9 +183,9 @@ def _theta_count(config: dict, vocab_size: int) -> int:
 
 def cmd_init_model(config: dict, args) -> int:
     dataset = _require_dataset(config, args)
-    vocab = Vocabulary.from_texts(dataset.texts(), cap=config["model"]["vocab_cap"])
-    model_config = _model_config(config, len(vocab))
     m = config["model"]
+    vocab = Vocabulary.from_texts(dataset.texts(), cap=m["vocab_cap"])
+    model_config = ModelConfig(vocab_size=len(vocab), **{name: m[name] for name in _ARCHITECTURE})
     if m["pretrain_steps"] > 0:
         corpus = _pretraining_corpus(dataset, vocab, config)
         model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"],
@@ -222,19 +218,11 @@ def cmd_pretrain(config: dict, args) -> int:
     return EXIT_OK
 
 
-def _train_config(config: dict) -> TrainConfig:
-    return TrainConfig(**config["train"], seed=config["seed"],
-                       literal_concat=config["adapter"]["literal_concat"])
-
-
 def cmd_train(config: dict, args) -> int:
     dataset = _require_dataset(config, args)
     model = load_model(_out_path(config, "model_checkpoint", args.checkpoint))
-    a = config["adapter"]
-    params = init_pspt_params(model, hard_prompt=a["hard_prompt"],
-                              soft_prompt_len=a["soft_prompt_len"], rank=a["rank"],
-                              alpha=a["alpha"], seed=config["seed"])
-    train_config = _train_config(config)
+    params = init_pspt_params(model, **config["adapter"], seed=config["seed"])
+    train_config = TrainConfig(**config["train"], seed=config["seed"])
     instances = build_instances(dataset, seed=config["seed"],
                                 sample_size=train_config.train_sample_size, vocab=model.vocab)
     result = train(train_config, instances, model, params)
@@ -253,8 +241,8 @@ def _build_scorer(config: dict, args, model):
     mode = config["scoring"]["score_mode"]
     if args.scorer == "pspt":
         params = load_params(_out_path(config, "params_checkpoint", args.params))
-        return make_pspt_scorer(model, params, mode=mode,
-                                literal_concat=config["adapter"]["literal_concat"])
+        check_params_fit(params, model)
+        return make_pspt_scorer(model, params, mode=mode)
     if args.scorer == "upr":
         return make_upr_scorer(model, prompt_text=config["scoring"]["upr_prompt"], mode=mode)
     ex_q = config["scoring"]["upr_example_question"]
@@ -359,6 +347,22 @@ COMMANDS = {
 }
 
 
+# error kinds in the order they are tested, with their exit codes
+_ERROR_KINDS = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    ((DataError, InputError, VocabularyError, CheckpointError, OSError), "data error", EXIT_DATA),
+    (NumericError, "numeric error", EXIT_NUMERIC),
+    (PsptError, "error", EXIT_DATA),
+)
+
+
+def report_error(exc: PsptError | OSError) -> int:
+    """Print `exc` to stderr under its kind and return that kind's exit code."""
+    kind, code = next((k, c) for types, k, c in _ERROR_KINDS if isinstance(exc, types))
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     level = os.environ.get("PSPT_LOG", "error").upper()
     logging.basicConfig(level=getattr(logging, level, logging.ERROR),
@@ -370,19 +374,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config["seed"] = args.seed
         return COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, ParseError, InputError, VocabularyError, CheckpointError,
-            OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PsptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (PsptError, OSError) as exc:
+        return report_error(exc)
 
 
 if __name__ == "__main__":

@@ -86,6 +86,22 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must be at least {len(RESERVED_TOKENS)}")
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every model parameter, in the order MicroLM.init
+    creates them."""
+    dim, ffn = config.dim, config.ffn_mult * config.dim
+    shapes = {"tok_emb": (config.vocab_size, dim), "pos_emb": (config.max_seq_len, dim)}
+    for i in range(config.n_layers):
+        p = f"layers.{i}."
+        shapes.update({p + "ln1.gamma": (dim,), p + "ln1.beta": (dim,),
+                       **{p + "attn." + w: (dim, dim) for w in ("wq", "wk", "wv", "wo")},
+                       p + "ln2.gamma": (dim,), p + "ln2.beta": (dim,),
+                       p + "ffn.w1": (dim, ffn), p + "ffn.b1": (ffn,),
+                       p + "ffn.w2": (ffn, dim), p + "ffn.b2": (dim,)})
+    shapes.update({"ln_f.gamma": (dim,), "ln_f.beta": (dim,)})
+    return shapes
+
+
 class MicroLM:
     """Decoder-only transformer with tied input/output embeddings, kept frozen."""
 
@@ -100,30 +116,16 @@ class MicroLM:
 
     @classmethod
     def init(cls, config: ModelConfig, vocab: Vocabulary, seed: int) -> "MicroLM":
+        """Matrices ~ N(0, 0.02²), drawn in param_shapes order; layer-norm
+        gains 1, biases and layer-norm shifts 0."""
         rng = T.make_rng(seed, 0)
-        dim, ffn = config.dim, config.ffn_mult * config.dim
-
-        def gauss(*shape):
-            return Tensor(rng.normal(0.0, 0.02, size=shape).astype(np.float32))
-
-        params: dict[str, Tensor] = {
-            "tok_emb": gauss(config.vocab_size, dim),
-            "pos_emb": gauss(config.max_seq_len, dim),
-        }
-        for i in range(config.n_layers):
-            p = f"layers.{i}."
-            params[p + "ln1.gamma"] = Tensor(np.ones(dim, dtype=np.float32))
-            params[p + "ln1.beta"] = Tensor(np.zeros(dim, dtype=np.float32))
-            for w in ("wq", "wk", "wv", "wo"):
-                params[p + "attn." + w] = gauss(dim, dim)
-            params[p + "ln2.gamma"] = Tensor(np.ones(dim, dtype=np.float32))
-            params[p + "ln2.beta"] = Tensor(np.zeros(dim, dtype=np.float32))
-            params[p + "ffn.w1"] = gauss(dim, ffn)
-            params[p + "ffn.b1"] = Tensor(np.zeros(ffn, dtype=np.float32))
-            params[p + "ffn.w2"] = gauss(ffn, dim)
-            params[p + "ffn.b2"] = Tensor(np.zeros(dim, dtype=np.float32))
-        params["ln_f.gamma"] = Tensor(np.ones(dim, dtype=np.float32))
-        params["ln_f.beta"] = Tensor(np.zeros(dim, dtype=np.float32))
+        params: dict[str, Tensor] = {}
+        for name, shape in param_shapes(config).items():
+            if len(shape) == 2:
+                data = rng.normal(0.0, 0.02, size=shape)
+            else:
+                data = np.full(shape, 1.0 if name.endswith("gamma") else 0.0)
+            params[name] = Tensor(data.astype(np.float32))
         return cls(config, vocab, params)
 
     @property
@@ -293,12 +295,13 @@ def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, ste
 
 
 def pretrain_micro_lm(corpus: list[list[int]], config: ModelConfig, vocab: Vocabulary,
-                      seed: int, steps: int, batch_size: int = 8, lr: float = 1e-3) -> MicroLM:
-    """Initialize a model and fit it on the corpus train split, frozen on return."""
+                      seed: int, steps: int, **options) -> MicroLM:
+    """Initialize a model and fit it on the corpus train split, frozen on return.
+    `options` are continue_pretraining's `batch_size` and `lr`."""
     if not [s for s in corpus if s]:
         raise DataError("pretraining corpus is empty")
     model = MicroLM.init(config, vocab, seed)
     if steps > 0:
         train, _ = holdout_split(corpus, seed)
-        continue_pretraining(model, train, seed, steps, batch_size=batch_size, lr=lr)
+        continue_pretraining(model, train, seed, steps, **options)
     return model

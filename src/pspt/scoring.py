@@ -1,14 +1,14 @@
 """Question log-likelihood scoring and candidate-list reranking.
 
 The score of a passage is the (teacher-forced) log-likelihood of the
-question tokens given the assembled prompt, passage, and separator.
-PSPT scoring uses the trainable soft prompt and adapted passage
-embeddings; the UPR baselines use hard prompt token embeddings and the
-frozen passage embeddings only.
+question tokens after a prefix, the passage, and a separator. PSPT and
+the UPR baselines score through one primitive: PSPT passes the trainable
+soft prompt and adapted passage embeddings, UPR a hard prompt's token
+embeddings and the frozen passage embeddings.
 
-A question's candidates are scored together: the prompt (soft or hard)
-is the shared prefix of one packed forward, computed once, and each
-passage is a segment after it that sees the prefix but no other passage.
+A question's candidates are scored together: the prefix is shared by
+one packed forward and computed once, and each passage is a segment
+after it that sees the prefix but no other passage.
 """
 
 from __future__ import annotations
@@ -18,17 +18,16 @@ from typing import Callable
 
 import numpy as np
 
+from . import adapter
 from . import tensor as T
 # assemble_blocks and assemble_input are not used here; perfbench's tracer
 # wraps them under these names
 from .adapter import (  # noqa: F401
     SEPARATOR_TEXT,
-    AssembledInput,
     PsptParams,
     assemble_blocks,
     assemble_input,
     assemble_segments,
-    pspt_passage_blocks,
 )
 from .errors import ConfigError, ContractError, InputError
 from .model import MicroLM
@@ -65,9 +64,17 @@ def _check_mode(mode: str) -> None:
         raise ConfigError(f"score mode must be 'sum' or 'mean', got {mode!r}")
 
 
-def _packed_loglik(model: MicroLM, prefix: Tensor, packed: AssembledInput) -> Tensor:
-    """Question log-likelihood of every packed segment after the shared
-    prefix, from one forward; all segments end in the same question."""
+def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
+                   embed_passages) -> Tensor:
+    """Question log-likelihood after `prefix` and each passage, one entry per
+    passage, from one packed forward in which the prefix is computed once.
+    `embed_passages` maps passage ids to one input row per id."""
+    if not passages:
+        raise ContractError("scoring needs at least one passage")
+    if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
+        raise ContractError("passages must be a list of token-id lists")
+    packed = assemble_segments(model, passages, question_ids, embed_passages,
+                               prefix_rows=prefix.shape[0])
     shape = (len(packed.lengths), -1)
     rows = np.reshape(packed.target_positions, shape)
     logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, prefix, rows)
@@ -77,30 +84,18 @@ def _packed_loglik(model: MicroLM, prefix: Tensor, packed: AssembledInput) -> Te
     return T.tsum(picked, axis=1)
 
 
-def _check_passages(passages) -> None:
-    if not passages:
-        raise ContractError("scoring needs at least one passage")
-    if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
-        raise ContractError("passages must be a list of token-id lists")
-
-
-def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM,
-                    literal_concat: bool = False) -> Tensor:
-    """Differentiable sum of question-token log-probs under the PSPT input,
-    one entry per passage; the soft prompt is computed once for all."""
-    _check_passages(passages)
-    packed = assemble_segments(model, passages, question_ids,
-                               pspt_passage_blocks(params, model, literal_concat),
-                               rows_per_passage_token=2 if literal_concat else 1,
-                               prefix_rows=params.soft_prompt.length)
-    return _packed_loglik(model, params.soft_prompt.e1, packed)
+def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM) -> Tensor:
+    """Differentiable sum of question-token log-probs after the soft prompt
+    and each adapted passage, one entry per passage."""
+    # passage_embedding is looked up on its module per call, where perfbench's tracer wraps it
+    return _packed_loglik(model, params.soft_prompt.e1, question_ids, passages,
+                          lambda ids: adapter.passage_embedding(ids, params, model))
 
 
 def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str,
                        example: tuple[list[int], list[int]] | None = None) -> Tensor:
-    """Log-likelihood under a hard prompt, one entry per passage; optional
-    in-context (q*, d*) pair. The prompt is computed once for all passages."""
-    _check_passages(passages)
+    """Log-likelihood after a hard prompt and each frozen passage, one entry
+    per passage; optional in-context (q*, d*) pair after the prompt."""
     prefix_ids = model.vocab.encode(prompt_text)
     if not prefix_ids:
         raise ConfigError(f"prompt text {prompt_text!r} tokenizes to nothing")
@@ -109,9 +104,7 @@ def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str,
         if not ex_q or not ex_d:
             raise ContractError("in-context example needs non-empty question and passage")
         prefix_ids = prefix_ids + list(ex_d) + model.vocab.encode(SEPARATOR_TEXT) + list(ex_q)
-    packed = assemble_segments(model, passages, question_ids, lambda ids: [model.embed(ids)],
-                               prefix_rows=len(prefix_ids))
-    return _packed_loglik(model, model.embed(prefix_ids), packed)
+    return _packed_loglik(model, model.embed(prefix_ids), question_ids, passages, model.embed)
 
 
 def _scores(sums: Tensor, question_ids, mode: str) -> list[float]:
@@ -120,9 +113,9 @@ def _scores(sums: Tensor, question_ids, mode: str) -> list[float]:
 
 
 def score_pspt(question_ids, passage_ids, params: PsptParams, model: MicroLM,
-               mode: str = "sum", literal_concat: bool = False) -> Score:
+               mode: str = "sum") -> Score:
     _check_mode(mode)
-    sums = question_loglik(question_ids, [passage_ids], params, model, literal_concat)
+    sums = question_loglik(question_ids, [passage_ids], params, model)
     return Score(_scores(sums, question_ids, mode)[0], mode)
 
 
@@ -151,20 +144,17 @@ def _groups(passages: list[list[int]], rows: list[int], max_rows: int) -> list[l
 class ListScorer:
     """A `(question, passage) -> score` callable whose `score_many` scores a
     candidate list with one packed forward per MAX_PACKED_ROWS rows,
-    encoding the question once. A passage token takes
-    `rows_per_passage_token` rows of its segment."""
+    encoding the question once."""
 
-    def __init__(self, model: MicroLM, mode: str, loglik, rows_per_passage_token: int = 1):
+    def __init__(self, model: MicroLM, mode: str, loglik):
         _check_mode(mode)
         self.model, self.mode, self._loglik = model, mode, loglik
-        self._rows_per_token = rows_per_passage_token
         self._separator_rows = len(model.vocab.encode(SEPARATOR_TEXT))
 
     def score_many(self, question_text: str, passage_texts: list[str]) -> list[float]:
         q = self.model.vocab.encode(question_text)
         passages = [self.model.vocab.encode(t) for t in passage_texts]
-        tail = self._separator_rows + len(q)
-        rows = [self._rows_per_token * len(d) + tail for d in passages]
+        rows = [len(d) + self._separator_rows + len(q) for d in passages]
         return [score for group in _groups(passages, rows, MAX_PACKED_ROWS)
                 for score in _scores(self._loglik(q, group), q, self.mode)]
 
@@ -172,11 +162,8 @@ class ListScorer:
         return self.score_many(question_text, [passage_text])[0]
 
 
-def make_pspt_scorer(model: MicroLM, params: PsptParams, mode: str = "sum",
-                     literal_concat: bool = False) -> ListScorer:
-    return ListScorer(model, mode, lambda q, ds: question_loglik(q, ds, params, model,
-                                                                 literal_concat),
-                      rows_per_passage_token=2 if literal_concat else 1)
+def make_pspt_scorer(model: MicroLM, params: PsptParams, mode: str = "sum") -> ListScorer:
+    return ListScorer(model, mode, lambda q, ds: question_loglik(q, ds, params, model))
 
 
 def make_upr_scorer(model: MicroLM, prompt_text: str = DEFAULT_UPR_PROMPT,

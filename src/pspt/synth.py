@@ -15,8 +15,9 @@ import argparse
 from dataclasses import dataclass
 
 from . import tensor as T
-from .errors import ConfigError
-from .evaluation import Passage, QaDataset, Question, save_dataset
+from .cli import report_error
+from .errors import ConfigError, PsptError
+from .evaluation import Passage, QaDataset, Question, bm25_run, save_dataset, write_run_file
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,8 @@ def pack_sequences(units: list[list[int]], target_len: int, seed: int,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m pspt.synth",
-        description="Generate a seeded synthetic QA dataset (JSON-lines).")
+        description="Generate a seeded synthetic QA dataset (JSON-lines). Exit codes "
+                    "are those of the pspt CLI.")
     parser.add_argument("out", help="output dataset path")
     parser.add_argument("--questions", type=int, default=400)
     parser.add_argument("--seed", type=int, default=0)
@@ -154,24 +156,25 @@ def main(argv=None) -> int:
     parser.add_argument("--bm25-run", help="write a BM25 run over the eval split (or all)")
     parser.add_argument("--k", type=int, default=10, help="BM25 run depth")
     args = parser.parse_args(argv)
-    dataset = build_synthetic_dataset(SynthConfig(n_questions=args.questions, seed=args.seed))
-    save_dataset(dataset, args.out)
-    print(f"wrote {len(dataset)} questions to {args.out}")
-    bm25_target = dataset
-    if args.train_split or args.eval_split:
-        train_ds, eval_ds = split_dataset(dataset, args.train_size)
-        if args.train_split:
-            save_dataset(train_ds, args.train_split)
-            print(f"wrote train split ({len(train_ds)}) to {args.train_split}")
-        if args.eval_split:
-            save_dataset(eval_ds, args.eval_split)
-            print(f"wrote eval split ({len(eval_ds)}) to {args.eval_split}")
-        bm25_target = eval_ds
-    if args.bm25_run:
-        from .evaluation import bm25_run, write_run_file
-
-        write_run_file(bm25_run(bm25_target, k=args.k), args.bm25_run)
-        print(f"wrote BM25 top-{args.k} run to {args.bm25_run}")
+    try:
+        dataset = build_synthetic_dataset(SynthConfig(n_questions=args.questions, seed=args.seed))
+        save_dataset(dataset, args.out)
+        print(f"wrote {len(dataset)} questions to {args.out}")
+        bm25_target = dataset
+        if args.train_split or args.eval_split:
+            train_ds, eval_ds = split_dataset(dataset, args.train_size)
+            if args.train_split:
+                save_dataset(train_ds, args.train_split)
+                print(f"wrote train split ({len(train_ds)}) to {args.train_split}")
+            if args.eval_split:
+                save_dataset(eval_ds, args.eval_split)
+                print(f"wrote eval split ({len(eval_ds)}) to {args.eval_split}")
+            bm25_target = eval_ds
+        if args.bm25_run:
+            write_run_file(bm25_run(bm25_target, k=args.k), args.bm25_run)
+            print(f"wrote BM25 top-{args.k} run to {args.bm25_run}")
+    except (PsptError, OSError) as exc:
+        return report_error(exc)
     return 0
 
 

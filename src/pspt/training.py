@@ -58,7 +58,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     point_weight: float = 1.0
     pair_weight: float = 1.0
-    literal_concat: bool = False
 
     def validate(self) -> None:
         positive = {
@@ -145,33 +144,29 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInsta
     return pairs
 
 
-def _question_terms(question, positive, negatives, params: PsptParams, model: MicroLM,
-                    literal_concat: bool) -> tuple[Tensor, Tensor]:
+def _question_terms(question, positive, negatives, params: PsptParams,
+                    model: MicroLM) -> tuple[Tensor, Tensor]:
     """Point term -score(positive), shape [1], and hinge terms
     max(0, score(negative) - score(positive)), one per negative, from a
     single scoring call over [positive, *negatives]."""
-    scores = question_loglik(question, [positive, *negatives], params, model, literal_concat)
+    scores = question_loglik(question, [positive, *negatives], params, model)
     s_pos, s_neg = T.split_rows(scores, [1, len(negatives)])
     return T.neg(s_pos), T.relu(T.add(s_neg, T.neg(s_pos)))
 
 
-def loss_point(question, positive, params: PsptParams, model: MicroLM,
-               literal_concat: bool = False) -> Tensor:
+def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor:
     """Negative question log-likelihood given the positive passage."""
-    return T.neg(T.tsum(question_loglik(question, [positive], params, model, literal_concat)))
+    return T.neg(T.tsum(question_loglik(question, [positive], params, model)))
 
 
-def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM,
-              literal_concat: bool = False) -> Tensor:
+def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM) -> Tensor:
     """Hinge on the score margin: max(0, score(negative) - score(positive))."""
-    return T.tsum(_question_terms(question, positive, [negative], params, model,
-                                  literal_concat)[1])
+    return T.tsum(_question_terms(question, positive, [negative], params, model)[1])
 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
-               point_weight: float = 1.0, pair_weight: float = 1.0,
-               literal_concat: bool = False) -> Tensor:
-    point, pair = _question_terms(question, positive, [negative], params, model, literal_concat)
+               point_weight: float = 1.0, pair_weight: float = 1.0) -> Tensor:
+    point, pair = _question_terms(question, positive, [negative], params, model)
     return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
@@ -185,8 +180,7 @@ def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroL
     point_terms, pair_terms = [], []
     for group in groups.values():
         point, pair = _question_terms(group[0].question, group[0].positive,
-                                      [p.negative for p in group], params, model,
-                                      config.literal_concat)
+                                      [p.negative for p in group], params, model)
         point_terms.append(T.mul(point, float(len(group))))  # one point term per pair
         pair_terms.append(pair)
     point = T.mul(T.tsum(T.concat_rows(point_terms)), 1.0 / len(pairs))
@@ -214,7 +208,7 @@ def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: Micr
               config: TrainConfig) -> float:
     values = [
         loss_total(inst.question, inst.positive, inst.negative, params, model,
-                   config.point_weight, config.pair_weight, config.literal_concat).item()
+                   config.point_weight, config.pair_weight).item()
         for inst in instances
     ]
     return float(np.mean(values))

