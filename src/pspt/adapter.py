@@ -10,6 +10,7 @@ contributes exactly nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,10 @@ class LowRankAdapter:
     B: Tensor
     rank: int
     alpha: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"adapter alpha must be positive and finite, got {self.alpha}")
 
     @property
     def scaling(self) -> float:
@@ -90,8 +95,6 @@ def init_adapter(vocab_size: int, rank: int, dim: int, alpha: float, seed: int) 
         raise ConfigError("adapter rank must be at least 1")
     if rank > dim:
         raise ConfigError(f"adapter rank {rank} exceeds embedding width {dim}")
-    if alpha <= 0:
-        raise ConfigError("adapter alpha must be positive")
     rng = T.make_rng(seed, 3)
     a = rng.normal(0.0, 0.02, size=(vocab_size, rank)).astype(np.float32)
     b = np.zeros((rank, dim), dtype=np.float32)
@@ -212,6 +215,9 @@ def load_params(path) -> PsptParams:
         raise CheckpointError("adapter checkpoint meta needs numeric 'r' and 'alpha'") from None
     soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"], requires_grad=True),
                       ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT))
-    adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"], requires_grad=True),
-                             Tensor(ckpt.buffers["pspt.B"], requires_grad=True), rank, alpha)
+    try:
+        adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"], requires_grad=True),
+                                 Tensor(ckpt.buffers["pspt.B"], requires_grad=True), rank, alpha)
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid adapter meta: {exc}") from None
     return PsptParams(soft, adapter)

@@ -14,20 +14,11 @@ import inspect
 import json
 import logging
 import os
-import sys
 from pathlib import Path
 
-from .adapter import check_params_fit, init_pspt_params, load_params, save_params
+from .adapter import SEPARATOR_TEXT, check_params_fit, init_pspt_params, load_params, save_params
 from .checkpoint import load_model, save_model
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DataError,
-    InputError,
-    NumericError,
-    PsptError,
-    VocabularyError,
-)
+from .errors import EXIT_OK, ConfigError, DataError, InputError, PsptError, report_error
 from .evaluation import (
     RetrievalRun,
     RunEntry,
@@ -44,9 +35,8 @@ from .scoring import (
     make_upr_scorer,
     rerank_with_scores,
 )
+from .synth import pack_sequences, pretraining_texts
 from .training import TrainConfig, build_instances, train, write_train_log
-
-EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
 # ModelConfig's architecture fields; vocab_size comes from the vocabulary
 _ARCHITECTURE = {f.name: f.default for f in dataclasses.fields(ModelConfig)
@@ -156,8 +146,6 @@ def _require_dataset(config: dict, args=None):
 
 def _pretraining_corpus(dataset, vocab, config: dict) -> list[list[int]]:
     """Packed passage-then-question sequences over the whole position range."""
-    from .synth import pack_sequences, pretraining_texts
-
     units = [vocab.encode(t) for t in pretraining_texts(dataset)]
     units = [u for u in units if u]
     if not units:
@@ -238,20 +226,20 @@ def cmd_train(config: dict, args) -> int:
 
 
 def _build_scorer(config: dict, args, model):
-    mode = config["scoring"]["score_mode"]
+    mode, prompt = config["scoring"]["score_mode"], config["scoring"]["upr_prompt"]
     if args.scorer == "pspt":
         params = load_params(_out_path(config, "params_checkpoint", args.params))
         check_params_fit(params, model)
         return make_pspt_scorer(model, params, mode=mode)
-    if args.scorer == "upr":
-        return make_upr_scorer(model, prompt_text=config["scoring"]["upr_prompt"], mode=mode)
-    ex_q = config["scoring"]["upr_example_question"]
-    ex_d = config["scoring"]["upr_example_passage"]
-    if not ex_q or not ex_d:
-        raise ConfigError("scorer upr_inst needs scoring.upr_example_question "
-                          "and scoring.upr_example_passage")
-    return make_upr_scorer(model, prompt_text=config["scoring"]["upr_prompt"], mode=mode,
-                           example_texts=(ex_q, ex_d))
+    if args.scorer == "upr_inst":
+        ex_q = config["scoring"]["upr_example_question"]
+        ex_d = config["scoring"]["upr_example_passage"]
+        if not (ex_q and ex_q.strip() and ex_d and ex_d.strip()):
+            raise ConfigError("scorer upr_inst needs a non-blank scoring.upr_example_question "
+                              "and scoring.upr_example_passage")
+        # UPR-Inst is UPR whose prompt ends with one in-context passage and question
+        prompt = " ".join([prompt, ex_d, SEPARATOR_TEXT, ex_q])
+    return make_upr_scorer(model, prompt_text=prompt, mode=mode)
 
 
 def cmd_rerank(config: dict, args) -> int:
@@ -345,22 +333,6 @@ COMMANDS = {
     "rerank": cmd_rerank,
     "eval": cmd_eval,
 }
-
-
-# error kinds in the order they are tested, with their exit codes
-_ERROR_KINDS = (
-    (ConfigError, "config error", EXIT_CONFIG),
-    ((DataError, InputError, VocabularyError, CheckpointError, OSError), "data error", EXIT_DATA),
-    (NumericError, "numeric error", EXIT_NUMERIC),
-    (PsptError, "error", EXIT_DATA),
-)
-
-
-def report_error(exc: PsptError | OSError) -> int:
-    """Print `exc` to stderr under its kind and return that kind's exit code."""
-    kind, code = next((k, c) for types, k, c in _ERROR_KINDS if isinstance(exc, types))
-    print(f"{kind}: {exc}", file=sys.stderr)
-    return code
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,13 @@
 """Exception taxonomy shared by all pspt modules.
 
-The CLI maps these onto exit codes: configuration problems exit 1, data
-problems exit 2, numeric failures exit 3.
+The command-line tools map these onto exit codes with `report_error`:
+configuration problems exit 1, data problems exit 2, numeric failures
+exit 3.
 """
+
+import sys
+
+EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
 
 class PsptError(Exception):
@@ -51,3 +56,19 @@ class ParseError(DataError):
 
 class InputError(PsptError):
     """Invalid runtime input (runs, candidate lists, metric vectors)."""
+
+
+# error kinds in the order they are tested, with their exit codes
+_ERROR_KINDS = (
+    (ConfigError, "config error", EXIT_CONFIG),
+    ((DataError, InputError, VocabularyError, CheckpointError, OSError), "data error", EXIT_DATA),
+    (NumericError, "numeric error", EXIT_NUMERIC),
+    (PsptError, "error", EXIT_DATA),
+)
+
+
+def report_error(exc: PsptError | OSError) -> int:
+    """Print `exc` to stderr under its kind and return that kind's exit code."""
+    kind, code = next((k, c) for types, k, c in _ERROR_KINDS if isinstance(exc, types))
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code

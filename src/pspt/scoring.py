@@ -4,7 +4,10 @@ The score of a passage is the (teacher-forced) log-likelihood of the
 question tokens after a prefix, the passage, and a separator. PSPT and
 the UPR baselines score through one primitive: PSPT passes the trainable
 soft prompt and adapted passage embeddings, UPR a hard prompt's token
-embeddings and the frozen passage embeddings.
+embeddings and the frozen passage embeddings. UPR-Inst is UPR whose
+prompt text ends with one in-context example passage and question.
+A score is the summed log-likelihood; `ListScorer` applies the score
+mode ("sum" or "mean" over question tokens).
 
 A question's candidates are scored together: the prefix is shared by
 one packed forward and computed once, and each passage is a segment
@@ -46,22 +49,11 @@ MAX_PACKED_ROWS = 512
 
 
 @dataclass(frozen=True)
-class Score:
-    value: float
-    mode: str
-
-
-@dataclass(frozen=True)
 class Candidate:
     passage_id: str
     text: str
     retriever_rank: int
     retriever_score: float
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("sum", "mean"):
-        raise ConfigError(f"score mode must be 'sum' or 'mean', got {mode!r}")
 
 
 def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
@@ -92,39 +84,22 @@ def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM) 
                           lambda ids: adapter.passage_embedding(ids, params, model))
 
 
-def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str,
-                       example: tuple[list[int], list[int]] | None = None) -> Tensor:
+def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str) -> Tensor:
     """Log-likelihood after a hard prompt and each frozen passage, one entry
-    per passage; optional in-context (q*, d*) pair after the prompt."""
+    per passage."""
     prefix_ids = model.vocab.encode(prompt_text)
     if not prefix_ids:
         raise ConfigError(f"prompt text {prompt_text!r} tokenizes to nothing")
-    if example is not None:
-        ex_q, ex_d = example
-        if not ex_q or not ex_d:
-            raise ContractError("in-context example needs non-empty question and passage")
-        prefix_ids = prefix_ids + list(ex_d) + model.vocab.encode(SEPARATOR_TEXT) + list(ex_q)
     return _packed_loglik(model, model.embed(prefix_ids), question_ids, passages, model.embed)
 
 
-def _scores(sums: Tensor, question_ids, mode: str) -> list[float]:
-    div = len(question_ids) if mode == "mean" else 1
-    return [float(s) / div for s in sums.data]
-
-
-def score_pspt(question_ids, passage_ids, params: PsptParams, model: MicroLM,
-               mode: str = "sum") -> Score:
-    _check_mode(mode)
-    sums = question_loglik(question_ids, [passage_ids], params, model)
-    return Score(_scores(sums, question_ids, mode)[0], mode)
+def score_pspt(question_ids, passage_ids, params: PsptParams, model: MicroLM) -> float:
+    return float(question_loglik(question_ids, [passage_ids], params, model).data[0])
 
 
 def score_upr(question_ids, passage_ids, model: MicroLM,
-              prompt_text: str = DEFAULT_UPR_PROMPT, mode: str = "sum",
-              example: tuple[list[int], list[int]] | None = None) -> Score:
-    _check_mode(mode)
-    sums = hard_prompt_loglik(question_ids, [passage_ids], model, prompt_text, example)
-    return Score(_scores(sums, question_ids, mode)[0], mode)
+              prompt_text: str = DEFAULT_UPR_PROMPT) -> float:
+    return float(hard_prompt_loglik(question_ids, [passage_ids], model, prompt_text).data[0])
 
 
 def _groups(passages: list[list[int]], rows: list[int], max_rows: int) -> list[list[list[int]]]:
@@ -147,7 +122,8 @@ class ListScorer:
     encoding the question once."""
 
     def __init__(self, model: MicroLM, mode: str, loglik):
-        _check_mode(mode)
+        if mode not in ("sum", "mean"):
+            raise ConfigError(f"score mode must be 'sum' or 'mean', got {mode!r}")
         self.model, self.mode, self._loglik = model, mode, loglik
         self._separator_rows = len(model.vocab.encode(SEPARATOR_TEXT))
 
@@ -155,8 +131,9 @@ class ListScorer:
         q = self.model.vocab.encode(question_text)
         passages = [self.model.vocab.encode(t) for t in passage_texts]
         rows = [len(d) + self._separator_rows + len(q) for d in passages]
-        return [score for group in _groups(passages, rows, MAX_PACKED_ROWS)
-                for score in _scores(self._loglik(q, group), q, self.mode)]
+        div = len(q) if self.mode == "mean" else 1
+        return [float(s) / div for group in _groups(passages, rows, MAX_PACKED_ROWS)
+                for s in self._loglik(q, group).data]
 
     def __call__(self, question_text: str, passage_text: str) -> float:
         return self.score_many(question_text, [passage_text])[0]
@@ -167,13 +144,8 @@ def make_pspt_scorer(model: MicroLM, params: PsptParams, mode: str = "sum") -> L
 
 
 def make_upr_scorer(model: MicroLM, prompt_text: str = DEFAULT_UPR_PROMPT,
-                    mode: str = "sum",
-                    example_texts: tuple[str, str] | None = None) -> ListScorer:
-    example = None
-    if example_texts is not None:
-        example = (model.vocab.encode(example_texts[0]), model.vocab.encode(example_texts[1]))
-    return ListScorer(model, mode, lambda q, ds: hard_prompt_loglik(q, ds, model, prompt_text,
-                                                                    example))
+                    mode: str = "sum") -> ListScorer:
+    return ListScorer(model, mode, lambda q, ds: hard_prompt_loglik(q, ds, model, prompt_text))
 
 
 def _validate_candidates(candidates: list[Candidate]) -> None:

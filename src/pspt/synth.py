@@ -15,8 +15,8 @@ import argparse
 from dataclasses import dataclass
 
 from . import tensor as T
-from .cli import report_error
-from .errors import ConfigError, PsptError
+from .adapter import SEPARATOR_TEXT
+from .errors import EXIT_OK, ConfigError, PsptError, report_error
 from .evaluation import Passage, QaDataset, Question, bm25_run, save_dataset, write_run_file
 
 
@@ -113,7 +113,7 @@ def pretraining_texts(dataset: QaDataset) -> list[str]:
     for q in dataset.questions:
         positives = [p for p in q.passages if p.relevant]
         for p in positives:
-            out.append(f"{p.text} question : {q.text}")
+            out.append(f"{p.text} {SEPARATOR_TEXT} {q.text}")
     return out
 
 
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
             print(f"wrote BM25 top-{args.k} run to {args.bm25_run}")
     except (PsptError, OSError) as exc:
         return report_error(exc)
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

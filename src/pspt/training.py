@@ -120,27 +120,18 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInsta
     if m < 1:
         raise ContractError("in-batch negative count must be at least 1")
     pairs: list[TrainingInstance] = []
-    size = len(batch)
     for i, inst in enumerate(batch):
-        negatives: list[tuple[str, list[int]]] = [(inst.negative_id, inst.negative)]
-        if m > 1:
-            candidates: list[tuple[str, list[int]]] = []
-            for off in range(1, size):
-                j = (i + off) % size
-                candidates.append((batch[j].positive_id, batch[j].positive))
-            for off in range(1, size):
-                j = (i + off) % size
-                candidates.append((batch[j].negative_id, batch[j].negative))
-            taken = {inst.negative_id}
-            for pid, toks in candidates:
-                if len(negatives) >= m:
-                    break
-                if pid == inst.positive_id or pid in taken:
-                    continue
+        others = batch[i + 1:] + batch[:i]
+        pool = [(inst.negative_id, inst.negative)]
+        pool += [(o.positive_id, o.positive) for o in others]
+        pool += [(o.negative_id, o.negative) for o in others]
+        taken = {inst.positive_id}
+        for pid, toks in pool:
+            if len(taken) > m:
+                break
+            if pid not in taken:
                 taken.add(pid)
-                negatives.append((pid, toks))
-        for pid, toks in negatives:
-            pairs.append(replace(inst, negative_id=pid, negative=toks))
+                pairs.append(replace(inst, negative_id=pid, negative=toks))
     return pairs
 
 

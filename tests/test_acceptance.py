@@ -125,8 +125,8 @@ def test_criterion_3_init_identity():
     for _ in range(100):
         q = [int(x) for x in rng.integers(4, 50, size=rng.integers(1, 6))]
         d = [int(x) for x in rng.integers(4, 50, size=rng.integers(1, 10))]
-        sp = score_pspt(q, d, params, model).value
-        su = score_upr(q, d, model, prompt_text=prompt).value
+        sp = score_pspt(q, d, params, model)
+        su = score_upr(q, d, model, prompt_text=prompt)
         worst_score = max(worst_score, abs(sp - su))
         e2 = passage_embedding(d, params, model).data
         e4 = model.embed(d).data
@@ -176,8 +176,8 @@ def test_criterion_4_synthetic_end_to_end():
     pairs = build_instances(eval_ds, seed=seed + 1, sample_size=len(eval_ds.questions),
                             vocab=vocab)
     correct = sum(
-        int(score_pspt(p.question, p.positive, result.params, model).value
-            > score_pspt(p.question, p.negative, result.params, model).value)
+        int(score_pspt(p.question, p.positive, result.params, model)
+            > score_pspt(p.question, p.negative, result.params, model))
         for p in pairs)
     accuracy = correct / len(pairs)
     elapsed = time.time() - t0

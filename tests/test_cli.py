@@ -259,6 +259,45 @@ class TestRerank:
                      "--checkpoint", str(trained["model"])])
         assert code == 1
 
+    def upr_inst_config(self, workspace, tmp_path, question, passage):
+        config = json.loads((workspace["root"] / "config.json").read_text())
+        config["scoring"] = {"upr_example_question": question, "upr_example_passage": passage}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    def test_upr_inst_scores_match_hand_built_prefix(self, workspace, trained, tmp_path):
+        ex_q, ex_d = "find tq1x0 tq1x1 near br3", "tp1x0 br3 fl2 tp1x1"
+        out = tmp_path / "inst.run"
+        assert main(["--config", self.upr_inst_config(workspace, tmp_path, ex_q, ex_d),
+                     "rerank", "--run-in", workspace["run"], "--run-out", str(out),
+                     "--scorer", "upr_inst", "--checkpoint", str(trained["model"])]) == 0
+        run = read_run_file(out)
+        assert run.tag == "upr_inst"
+        # oracle: the instructed input rebuilt by hand from frozen blocks
+        model = load_model(trained["model"])
+        encode = model.vocab.encode
+        prefix = (encode(DEFAULTS["scoring"]["upr_prompt"]) + encode(ex_d)
+                  + encode("question :") + encode(ex_q))
+        qid = sorted(run.queries)[0]
+        q = encode(workspace["dataset"].by_id[qid].text)
+        for entry in run.queries[qid]:
+            flat = prefix + encode(workspace["dataset"].passage_text(entry.passage_id))
+            flat += encode("question :") + q
+            rows = model.forward_logprobs(model.embed(flat)).data
+            q_start = len(flat) - len(q)
+            expected = sum(float(rows[q_start - 1 + i, tok]) for i, tok in enumerate(q))
+            assert abs(entry.score - expected) <= 1e-4 * abs(expected)
+
+    def test_upr_inst_whitespace_example_is_config_error(self, workspace, trained, tmp_path,
+                                                         capsys):
+        code = main(["--config", self.upr_inst_config(workspace, tmp_path, "  ", "w1 w2"),
+                     "rerank", "--run-in", workspace["run"], "--run-out",
+                     str(tmp_path / "x.run"), "--scorer", "upr_inst",
+                     "--checkpoint", str(trained["model"])])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_run_in_directory_is_data_error(self, workspace, trained, tmp_path):
         code = main(["--config", workspace["config"], "rerank", "--run-in", str(tmp_path),
                      "--run-out", str(tmp_path / "o.run"), "--scorer", "upr",
@@ -418,6 +457,13 @@ class TestMalformedCheckpoint:
                                                 key):
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(trained["theta"], bad, lambda h: h["meta"].pop(key))
+        self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
+
+    @pytest.mark.parametrize("alpha", [0, -16, float("nan")], ids=["zero", "negative", "nan"])
+    def test_adapter_alpha_not_positive_and_finite(self, workspace, trained, tmp_path, capsys,
+                                                   alpha):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["theta"], bad, lambda h: h["meta"].update(alpha=alpha))
         self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
 
     @pytest.mark.parametrize("mutate", [

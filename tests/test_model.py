@@ -246,7 +246,7 @@ class TestPrecision:
         params = init_pspt_params(tiny_model, hard_prompt="w0 w1", soft_prompt_len=4, seed=2)
         q, d = [5, 6, 7], [8, 9, 10, 11]
         assert question_loglik(q, [d], params, tiny_model).dtype == np.float32
-        value = score_pspt(q, d, params, tiny_model).value
+        value = score_pspt(q, d, params, tiny_model)
         assert float(np.float32(value)) == value  # a float32 sum, not a float64 one
 
     def test_float64_model_stays_float64(self, tiny_model):

@@ -37,6 +37,11 @@ def params(demo_model):
     return init_pspt_params(demo_model, soft_prompt_len=6, rank=1, alpha=16.0, seed=9)
 
 
+def instructed_prompt(example_passage, example_question):
+    """UPR-Inst's prompt: the UPR prompt, then one example passage and question."""
+    return f"{DEFAULT_UPR_PROMPT} {example_passage} question : {example_question}"
+
+
 def candidates(n):
     return [Candidate(f"d{i}", f"passage w{i}", i + 1, float(n - i)) for i in range(n)]
 
@@ -45,7 +50,7 @@ class TestScorePspt:
     def test_uniform_model_value(self, uniform_model):
         params = init_pspt_params(uniform_model, hard_prompt="w0", soft_prompt_len=4, seed=1)
         got = score_pspt([5, 6, 7], [8, 9], params, uniform_model)
-        np.testing.assert_allclose(got.value, 3 * np.log(1 / 100), atol=1e-4)
+        np.testing.assert_allclose(got, 3 * np.log(1 / 100), atol=1e-4)
 
     def test_fresh_adapter_matches_hard_prompt_score(self, demo_model):
         text = "please generate question for this passage"
@@ -55,7 +60,7 @@ class TestScorePspt:
         d = demo_model.vocab.encode("w7 w8 w9 w10")
         pspt = score_pspt(q, d, params, demo_model)
         upr = score_upr(q, d, demo_model, prompt_text=text)
-        assert abs(pspt.value - upr.value) < 1e-5
+        assert abs(pspt - upr) < 1e-5
 
     def test_matches_per_token_gather_oracle(self, demo_model, params):
         rng = T.make_rng(3)
@@ -67,20 +72,20 @@ class TestScorePspt:
         rows = demo_model.forward_logprobs(asm.embeddings).data
         expected = sum(rows[pos, tok] for pos, tok in zip(asm.target_positions, asm.target_ids))
         got = score_pspt(q, d, params, demo_model)
-        np.testing.assert_allclose(got.value, expected, rtol=1e-6)
+        np.testing.assert_allclose(got, expected, rtol=1e-6)
 
     def test_mean_mode_divides_by_question_length(self, demo_model, params):
-        q, d = [10, 11, 12, 13], [20, 21]
-        s_sum = score_pspt(q, d, params, demo_model, mode="sum")
-        s_mean = score_pspt(q, d, params, demo_model, mode="mean")
-        np.testing.assert_allclose(s_mean.value, s_sum.value / 4, rtol=1e-7)
+        q, d = "w10 w11 w12 w13", "w20 w21"
+        s_sum = make_pspt_scorer(demo_model, params, mode="sum")(q, d)
+        s_mean = make_pspt_scorer(demo_model, params, mode="mean")(q, d)
+        np.testing.assert_allclose(s_mean, s_sum / 4, rtol=1e-7)
 
     def test_sum_scores_non_positive(self, demo_model, params):
         rng = T.make_rng(15)
         for _ in range(10):
             q = [int(i) for i in rng.integers(4, 40, size=rng.integers(1, 6))]
             d = [int(i) for i in rng.integers(4, 40, size=rng.integers(0, 8))]
-            assert score_pspt(q, d, params, demo_model).value <= 0
+            assert score_pspt(q, d, params, demo_model) <= 0
 
     def test_empty_question_rejected(self, demo_model, params):
         with pytest.raises(ContractError):
@@ -88,24 +93,24 @@ class TestScorePspt:
 
     def test_bad_mode_rejected(self, demo_model, params):
         with pytest.raises(ConfigError):
-            score_pspt([4], [5], params, demo_model, mode="median")
+            make_pspt_scorer(demo_model, params, mode="median")
 
 
 class TestScoreUpr:
     def test_uniform_model_independent_of_prompt(self, uniform_model):
         for prompt in ("w0", "w1 w2 w3"):
             got = score_upr([5, 6, 7], [8], uniform_model, prompt_text=prompt)
-            np.testing.assert_allclose(got.value, 3 * np.log(1 / 100), atol=1e-4)
+            np.testing.assert_allclose(got, 3 * np.log(1 / 100), atol=1e-4)
 
     def test_instructed_variant_differs_and_matches_oracle(self, demo_model):
         q = demo_model.vocab.encode("w1 w2")
         d = demo_model.vocab.encode("w7 w8")
+        plain = score_upr(q, d, demo_model)
+        inst = score_upr(q, d, demo_model, prompt_text=instructed_prompt("w9 w10", "w3 w4"))
+        assert plain != inst
+        # oracle: rebuild the instructed input by hand from frozen blocks
         ex_q = demo_model.vocab.encode("w3 w4")
         ex_d = demo_model.vocab.encode("w9 w10")
-        plain = score_upr(q, d, demo_model)
-        inst = score_upr(q, d, demo_model, example=(ex_q, ex_d))
-        assert plain.value != inst.value
-        # oracle: rebuild the instructed input by hand from frozen blocks
         sep = demo_model.vocab.encode("question :")
         prompt = demo_model.vocab.encode("Please generate question for this passage:")
         blocks = [prompt, ex_d, sep, ex_q, d, sep, q]
@@ -113,7 +118,7 @@ class TestScoreUpr:
         rows = demo_model.forward_logprobs(demo_model.embed(flat)).data
         q_start = len(flat) - len(q)
         expected = sum(rows[q_start - 1 + i, tok] for i, tok in enumerate(q))
-        np.testing.assert_allclose(inst.value, expected, rtol=1e-6)
+        np.testing.assert_allclose(inst, expected, rtol=1e-6)
 
     def test_empty_prompt_rejected(self, demo_model):
         with pytest.raises(ConfigError):
@@ -144,11 +149,11 @@ class TestBatchedScoring:
         self.check(lambda q, ds: question_loglik(q, ds, theta, model), dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("example", [None, ([20, 21], [22, 23, 24])])
+    @pytest.mark.parametrize("example", [None, ("w22 w23 w24", "w20 w21")])
     def test_upr_list_equals_alone(self, demo_model, dtype, example):
         model = demo_model.astype(dtype)
-        self.check(lambda q, ds: hard_prompt_loglik(q, ds, model, DEFAULT_UPR_PROMPT, example),
-                   dtype)
+        prompt = DEFAULT_UPR_PROMPT if example is None else instructed_prompt(*example)
+        self.check(lambda q, ds: hard_prompt_loglik(q, ds, model, prompt), dtype)
 
     def test_scorer_score_many_matches_call(self, demo_model, params):
         texts = ["w1 w2 w3", "w4", "w5 w6 w7 w8 w9 w10 w11", "w12 w13"]

@@ -127,7 +127,7 @@ class TestLosses:
     def test_point_loss_is_negated_score(self, demo_model, params):
         q, d = [10, 11, 12], [20, 21]
         lp = loss_point(q, d, params, demo_model).item()
-        assert lp == -score_pspt(q, d, params, demo_model).value
+        assert lp == -score_pspt(q, d, params, demo_model)
         assert lp >= 0
 
     def test_pair_loss_zero_for_identical_passages(self, demo_model, params):
@@ -137,8 +137,8 @@ class TestLosses:
         rng = T.make_rng(8)
         params.adapter.B.data = rng.normal(0, 0.05, params.adapter.B.shape).astype(np.float32)
         q, dp, dn = [10, 11, 12], [20, 21], [22, 23, 24]
-        s_pos = score_pspt(q, dp, params, demo_model).value
-        s_neg = score_pspt(q, dn, params, demo_model).value
+        s_pos = score_pspt(q, dp, params, demo_model)
+        s_neg = score_pspt(q, dn, params, demo_model)
         got = loss_pair(q, dp, dn, params, demo_model).item()
         np.testing.assert_allclose(got, max(0.0, s_neg - s_pos), rtol=1e-6)
 
