@@ -1,11 +1,11 @@
 """Trainable parameters: task soft prompt plus low-rank passage adapter.
 
-These are the only tensors in the system with requires_grad=True. The
-soft prompt is initialized from the frozen embeddings of a hard prompt
-string, cycled to the configured length. The adapter factors a full
-vocab-by-dim embedding delta into A (vocab x rank, Gaussian init) and
-B (rank x dim, zero init), scaled by alpha/rank, so a fresh adapter
-contributes exactly nothing.
+Like every parameter they are created frozen; training unfreezes them one
+step at a time with `pspt.optim.trainable`. The soft prompt is
+initialized from the frozen embeddings of a hard prompt string, cycled to
+the configured length. The adapter factors a full vocab-by-dim embedding
+delta into A (vocab x rank, Gaussian init) and B (rank x dim, zero init),
+scaled by alpha/rank, so a fresh adapter contributes exactly nothing.
 """
 
 from __future__ import annotations
@@ -63,14 +63,6 @@ class PsptParams:
             "pspt.B": self.adapter.B,
         }
 
-    def copy(self) -> "PsptParams":
-        sp = SoftPrompt(Tensor(self.soft_prompt.e1.data.copy(), requires_grad=True),
-                        self.soft_prompt.init_text)
-        ad = LowRankAdapter(Tensor(self.adapter.A.data.copy(), requires_grad=True),
-                            Tensor(self.adapter.B.data.copy(), requires_grad=True),
-                            self.adapter.rank, self.adapter.alpha)
-        return PsptParams(sp, ad)
-
     def astype(self, dtype) -> "PsptParams":
         sp = SoftPrompt(self.soft_prompt.e1.astype(dtype), self.soft_prompt.init_text)
         ad = LowRankAdapter(self.adapter.A.astype(dtype), self.adapter.B.astype(dtype),
@@ -87,7 +79,7 @@ def init_soft_prompt(text: str, length: int, model: MicroLM) -> SoftPrompt:
         raise ConfigError(f"hard prompt {text!r} tokenizes to nothing")
     table = model.params["tok_emb"].data
     rows = np.stack([table[ids[i % len(ids)]] for i in range(length)]).copy()
-    return SoftPrompt(Tensor(rows, requires_grad=True), text)
+    return SoftPrompt(Tensor(rows), text)
 
 
 def init_adapter(vocab_size: int, rank: int, dim: int, alpha: float, seed: int) -> LowRankAdapter:
@@ -98,7 +90,7 @@ def init_adapter(vocab_size: int, rank: int, dim: int, alpha: float, seed: int) 
     rng = T.make_rng(seed, 3)
     a = rng.normal(0.0, 0.02, size=(vocab_size, rank)).astype(np.float32)
     b = np.zeros((rank, dim), dtype=np.float32)
-    return LowRankAdapter(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True), rank, float(alpha))
+    return LowRankAdapter(Tensor(a), Tensor(b), rank, float(alpha))
 
 
 def init_pspt_params(model: MicroLM, hard_prompt: str = DEFAULT_HARD_PROMPT,
@@ -213,11 +205,11 @@ def load_params(path) -> PsptParams:
         rank, alpha = int(ckpt.meta["r"]), float(ckpt.meta["alpha"])
     except (KeyError, TypeError, ValueError):
         raise CheckpointError("adapter checkpoint meta needs numeric 'r' and 'alpha'") from None
-    soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"], requires_grad=True),
+    soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"]),
                       ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT))
     try:
-        adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"], requires_grad=True),
-                                 Tensor(ckpt.buffers["pspt.B"], requires_grad=True), rank, alpha)
+        adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"]), Tensor(ckpt.buffers["pspt.B"]),
+                                 rank, alpha)
     except ConfigError as exc:
         raise CheckpointError(f"invalid adapter meta: {exc}") from None
     return PsptParams(soft, adapter)

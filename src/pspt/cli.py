@@ -134,7 +134,10 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULTS, raw)
+    config = _merge(DEFAULTS, raw)
+    if any("\0" in p for p in config["paths"].values() if p):
+        raise ConfigError("config paths must not contain NUL characters")
+    return config
 
 
 def _require_dataset(config: dict, args=None):
@@ -163,12 +166,6 @@ def _out_path(config: dict, key: str, override: str | None) -> Path:
     return out_dir / config["paths"][key]
 
 
-def _theta_count(config: dict, vocab_size: int) -> int:
-    a = config["adapter"]
-    dim = config["model"]["dim"]
-    return a["soft_prompt_len"] * dim + vocab_size * a["rank"] + a["rank"] * dim
-
-
 def cmd_init_model(config: dict, args) -> int:
     dataset = _require_dataset(config, args)
     m = config["model"]
@@ -181,10 +178,11 @@ def cmd_init_model(config: dict, args) -> int:
                                   batch_size=m["pretrain_batch_size"], lr=m["pretrain_lr"])
     else:
         model = MicroLM.init(model_config, vocab, seed=config["seed"])
+    # the adapter that `train` builds; one that cannot fit fails before the model is saved
+    theta = sum(t.size for t in init_pspt_params(model, **config["adapter"]).tensors().values())
     out = _out_path(config, "model_checkpoint", args.out)
     save_model(model, out, meta={"seed": config["seed"], "pretrain_steps": m["pretrain_steps"]})
     frozen = model.param_count()
-    theta = _theta_count(config, len(vocab))
     print(f"frozen parameters: {frozen}")
     print(f"trainable parameters: {theta}")
     print(f"trainable fraction: {100.0 * theta / frozen:.6f}%")
@@ -345,6 +343,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
+        if config["seed"] < 0:
+            raise ConfigError(f"seed must be non-negative, got {config['seed']}")
         return COMMANDS[args.command](config, args)
     except (PsptError, OSError) as exc:
         return report_error(exc)

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DataError, InputError, ParseError
+from .errors import ConfigError, ContractError, DataError, InputError, ParseError
 from .model import tokenize_text
 
 logger = logging.getLogger(__name__)
@@ -175,10 +175,12 @@ def read_run_file(path) -> RetrievalRun:
             if stripped.startswith("{"):
                 try:
                     rec = json.loads(stripped)
-                    qid = str(rec["query_id"])
-                    entry = RunEntry(str(rec["passage_id"]), int(rec["rank"]), float(rec["score"]))
+                    qid, rank = str(rec["query_id"]), rec["rank"]
+                    if not isinstance(rank, int) or isinstance(rank, bool):
+                        raise ValueError(f"rank {rank!r} is not an integer")
+                    entry = RunEntry(str(rec["passage_id"]), rank, float(rec["score"]))
                     line_tag = str(rec.get("tag", "run"))
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                     raise ParseError(line_no, f"bad JSON run record: {exc}") from exc
             else:
                 parts = stripped.split()
@@ -444,6 +446,8 @@ def evaluate(runs: list[RetrievalRun], dataset: QaDataset, k_list: list[int],
         raise InputError(f"duplicate run tags: {tags}")
     if baseline_tag is not None and baseline_tag not in tags:
         raise InputError(f"baseline tag {baseline_tag!r} not among runs {tags}")
+    if not k_list or min(k_list) < 1:
+        raise ConfigError(f"k_list must be a non-empty list of cutoffs >= 1, got {k_list}")
 
     names = [f"{m}@{k}" for k in k_list for m in ("R", "H")]
     results: list[RunMetrics] = []

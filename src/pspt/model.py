@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     VocabularyError,
 )
-from .optim import Adam, clip_global_norm
+from .optim import Adam, clip_global_norm, trainable
 from .tensor import Tensor
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
@@ -147,11 +147,6 @@ class MicroLM:
         params = {name: p.astype(dtype) for name, p in self.params.items()}
         return MicroLM(self.config, self.vocab, params)
 
-    def _set_trainable(self, flag: bool) -> None:
-        for p in self.params.values():
-            p.requires_grad = flag
-            p.zero_grad()
-
     def validate_ids(self, ids) -> list[int]:
         out = []
         for i in ids:
@@ -274,24 +269,21 @@ def holdout_split(corpus: list[list[int]], seed: int):
 
 def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, steps: int,
                          batch_size: int = 8, lr: float = 1e-3) -> None:
-    """Run further LM training steps in place, then re-freeze the model."""
+    """Run further LM training steps in place; the model is frozen between steps."""
     seqs = [s for s in corpus if s]
     if not seqs:
         raise DataError("pretraining corpus is empty")
     rng = T.make_rng(seed, 2)
     tensors = list(model.params.values())
-    model._set_trainable(True)
-    try:
-        opt = Adam([(tensors, lr)])
-        for _ in range(steps):
-            idx = rng.integers(0, len(seqs), size=batch_size)
+    opt = Adam([(tensors, lr)])
+    for _ in range(steps):
+        idx = rng.integers(0, len(seqs), size=batch_size)
+        with trainable(tensors):
+            # the graph outlives opt.step(): freed before it, glibc re-faults the heap
             mean_loss = _mean_sequence_nll(model, [seqs[int(i)] for i in idx])
-            opt.zero_grad()
             T.backward(mean_loss)
             clip_global_norm(tensors, 1.0)
             opt.step()
-    finally:
-        model._set_trainable(False)
 
 
 def pretrain_micro_lm(corpus: list[list[int]], config: ModelConfig, vocab: Vocabulary,

@@ -1,10 +1,27 @@
-"""Adam-style optimizer with parameter groups and global gradient clipping."""
+"""Adam with parameter groups, global gradient clipping, and `trainable`."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
 from .tensor import Tensor
+
+
+@contextmanager
+def trainable(tensors):
+    """Let `tensors` take gradients inside the block; on exit, also by an
+    exception, they are frozen again and their gradients dropped."""
+    tensors = list(tensors)
+    for t in tensors:
+        t.requires_grad = True
+    try:
+        yield
+    finally:
+        for t in tensors:
+            t.requires_grad = False
+            t.grad = None
 
 
 def clip_global_norm(tensors: list[Tensor], max_norm: float) -> float:
@@ -56,8 +73,3 @@ class Adam:
                 v = self._v[id(p)] = b2 * self._v[id(p)] + (1 - b2) * (g * g)
                 update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
                 p.data = p.data - np.asarray(lr_t, dtype=p.data.dtype) * update.astype(p.data.dtype)
-
-    def zero_grad(self) -> None:
-        for tensors, _ in self.groups:
-            for p in tensors:
-                p.zero_grad()

@@ -73,11 +73,8 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def astype(self, dtype) -> "Tensor":
-        """New leaf with converted data; drops any graph history."""
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
+        """New frozen leaf holding a converted copy of the data."""
+        return Tensor(self.data.astype(dtype))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"

@@ -20,7 +20,7 @@ from .adapter import PsptParams
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
 from .model import MicroLM, Vocabulary
-from .optim import Adam, clip_global_norm
+from .optim import Adam, clip_global_norm, trainable
 from .scoring import question_loglik
 from .tensor import Tensor
 
@@ -234,7 +234,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
     total_steps = config.epochs * steps_per_epoch
 
     log: list[dict] = []
-    best_snapshot = params.copy()
+    best_snapshot = params.astype(e1.dtype)
     best_dev = _dev_loss(dev_set, params, model, config) if dev_set else None
     best_epoch = 0
     if best_dev is not None:
@@ -247,15 +247,15 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
         for start in range(0, len(train_set), config.batch_size):
             batch = [train_set[i] for i in perm[start:start + config.batch_size]]
             pairs = expand_in_batch(batch, config.in_batch_negatives)
-            total, point, pair = _batch_loss(pairs, params, model, config)
-            loss_value = total.item()
-            if not math.isfinite(loss_value):
-                raise NumericError(f"non-finite loss at step {step}")
-            opt.zero_grad()
-            T.backward(total)
-            clip_global_norm(theta, config.grad_clip)
             scale = 1.0 - step / total_steps
-            opt.step(scale)
+            with trainable(theta):
+                total, point, pair = _batch_loss(pairs, params, model, config)
+                loss_value = total.item()
+                if not math.isfinite(loss_value):
+                    raise NumericError(f"non-finite loss at step {step}")
+                T.backward(total)
+                clip_global_norm(theta, config.grad_clip)
+                opt.step(scale)
             log.append({
                 "step": step,
                 "epoch": epoch,
@@ -273,7 +273,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
             if improved:
                 best_dev = dev
                 best_epoch = epoch
-                best_snapshot = params.copy()
+                best_snapshot = params.astype(e1.dtype)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -281,7 +281,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                     logger.info("early stop after epoch %d (best epoch %d)", epoch, best_epoch)
                     break
         else:
-            best_snapshot = params.copy()
+            best_snapshot = params.astype(e1.dtype)
             best_epoch = epoch
 
     return TrainResult(params=best_snapshot, log=log, best_epoch=best_epoch,

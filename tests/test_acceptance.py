@@ -29,6 +29,7 @@ from pspt.evaluation import (
     write_run_file,
 )
 from pspt.model import MicroLM, ModelConfig, Vocabulary, pretrain_micro_lm
+from pspt.optim import trainable
 from pspt.scoring import (
     Candidate,
     make_pspt_scorer,
@@ -83,13 +84,12 @@ def test_criterion_1_gradient_correctness():
         return loss_total(q, d_pos, d_neg, params, model).item()
 
     fd = T.finite_diff_grad(objective, arrays, eps=1e-5)
-    for t in params.tensors().values():
-        t.zero_grad()
-    T.backward(loss_total(q, d_pos, d_neg, params, model))
     worst = 0.0
-    for tensor, grad in zip(params.tensors().values(), fd):
-        denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(tensor.grad - grad) / denom)))
+    with trainable(params.tensors().values()):
+        T.backward(loss_total(q, d_pos, d_neg, params, model))
+        for tensor, grad in zip(params.tensors().values(), fd):
+            denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
+            worst = max(worst, float(np.max(np.abs(tensor.grad - grad) / denom)))
     elapsed = time.time() - t0
     report(1, "gradient correctness", worst < 1e-4 and elapsed < 120,
            f"(max rel err {worst:.2e} over {sum(a.size for a in arrays)} coords, {elapsed:.1f}s)")

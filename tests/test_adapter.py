@@ -15,6 +15,7 @@ from pspt.adapter import (
 )
 from pspt.errors import ConfigError, ContractError, SequenceLengthError
 from pspt.model import MicroLM, ModelConfig, Vocabulary
+from pspt.optim import trainable
 
 
 @pytest.fixture
@@ -48,7 +49,7 @@ class TestSoftPromptInit:
             init_soft_prompt("   ", 4, demo_model)
 
     def test_trainable(self, demo_model):
-        assert init_soft_prompt("please", 3, demo_model).e1.requires_grad
+        assert not init_soft_prompt("please", 3, demo_model).e1.requires_grad
 
 
 class TestAdapterInit:
@@ -97,10 +98,11 @@ class TestPassageEmbedding:
 
     def test_differentiable_wrt_adapter(self, demo_model, params):
         params.adapter.B.data += 0.01  # nonzero so A receives gradient
-        out = passage_embedding([5, 6], params, demo_model)
-        T.backward(T.tsum(out))
-        assert params.adapter.A.grad is not None
-        assert params.adapter.B.grad is not None
+        with trainable(params.tensors().values()):
+            out = passage_embedding([5, 6], params, demo_model)
+            T.backward(T.tsum(out))
+            assert params.adapter.A.grad is not None
+            assert params.adapter.B.grad is not None
 
 
 class TestAssembleInput:
@@ -159,12 +161,13 @@ class TestThetaExclusivity:
         from pspt.scoring import question_loglik
 
         params.adapter.B.data += 0.01
-        loglik = T.tsum(question_loglik([12, 13], [[10, 11]], params, demo_model))
-        T.backward(T.neg(loglik))
-        assert params.soft_prompt.e1.grad is not None
-        assert params.adapter.A.grad is not None
-        assert params.adapter.B.grad is not None
-        assert all(p.grad is None for p in demo_model.params.values())
+        with trainable(params.tensors().values()):
+            loglik = T.tsum(question_loglik([12, 13], [[10, 11]], params, demo_model))
+            T.backward(T.neg(loglik))
+            assert params.soft_prompt.e1.grad is not None
+            assert params.adapter.A.grad is not None
+            assert params.adapter.B.grad is not None
+            assert all(p.grad is None for p in demo_model.params.values())
 
 
 class TestParamsPersistence:
@@ -176,11 +179,11 @@ class TestParamsPersistence:
         loaded = load_params(path)
         for name, tensor in params.tensors().items():
             np.testing.assert_array_equal(loaded.tensors()[name].data, tensor.data)
-            assert loaded.tensors()[name].requires_grad
+            assert not loaded.tensors()[name].requires_grad
         assert loaded.adapter.alpha == params.adapter.alpha
         assert loaded.soft_prompt.init_text == params.soft_prompt.init_text
 
     def test_copy_is_independent(self, params):
-        dup = params.copy()
+        dup = params.astype(params.soft_prompt.e1.dtype)
         dup.soft_prompt.e1.data[:] = 0.0
         assert not np.array_equal(dup.soft_prompt.e1.data, params.soft_prompt.e1.data)

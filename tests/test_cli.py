@@ -126,6 +126,24 @@ class TestConfig:
         assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
         assert f"unknown config keys: adapter.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["dataset", "output_dir"])
+    def test_nul_in_a_config_path_is_exit_1(self, tmp_path, capsys, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"paths": {"dataset": "d.jsonl", key: "a\0b"}}))
+        assert main(["--config", str(path), "eval", "--run", "x.run"]) == 1
+        assert "NUL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_exit_1(self, workspace, tmp_path, capsys, where):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["paths"]["output_dir"] = str(tmp_path)
+        config["seed"] = -1 if where == "config" else 0
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["--config", str(path), *flag, "init-model"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+
     def test_config_path_that_is_a_directory_is_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path), "init-model"]) == 1
 
@@ -155,6 +173,17 @@ class TestInitModel:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"paths": {"output_dir": str(tmp_path)}}))
         assert main(["--config", str(path), "init-model"]) == 1
+
+    def test_adapter_that_cannot_fit_is_config_error_before_saving(self, workspace, tmp_path,
+                                                                   capsys):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["adapter"]["rank"] = 17  # above the model's width of 16
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 1
+        assert "exceeds embedding width" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +364,18 @@ class TestEval:
     def test_missing_run_file_is_data_error(self, workspace):
         assert main(["--config", workspace["config"], "eval", "--run", "/nonexistent.run"]) == 2
 
+    @pytest.mark.parametrize("k_list", [[0], [-3], [], [5, 0]])
+    def test_cutoff_below_one_or_no_cutoff_is_config_error(self, workspace, tmp_path, capsys,
+                                                           k_list):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["eval"] = {"k_list": k_list, "capped_recall": True}
+        config["paths"]["output_dir"] = str(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "eval", "--run", workspace["run"]]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
 
 class TestMalformedInput:
     """Values that parse as JSON or numbers but are wrong end in exit code 2."""
@@ -365,6 +406,22 @@ class TestMalformedInput:
         bad = tmp_path / "bad.run"
         bad.write_text("\n".join([record] + lines[1:]) + "\n")
         assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", None), ("rank", [1]), ("rank", {"r": 1}), ("rank", 1.7), ("rank", True),
+        ("rank", "1"), ("score", None), ("score", [1.0]), ("score", {"s": 1.0}),
+    ], ids=["rank-null", "rank-list", "rank-object", "rank-float", "rank-bool", "rank-string",
+            "score-null", "score-list", "score-object"])
+    def test_ill_typed_json_run_field_is_data_error(self, workspace, tmp_path, capsys,
+                                                    field, value):
+        lines = open(workspace["run"]).read().splitlines()
+        qid, _, pid, rank, score, tag = lines[0].split()
+        record = {"query_id": qid, "passage_id": pid, "rank": int(rank), "score": float(score),
+                  "tag": tag, field: value}
+        bad = tmp_path / "bad.run"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2
+        assert "line 1: bad JSON run record" in capsys.readouterr().err
 
     def test_passage_that_is_not_an_object_is_data_error(self, workspace, tmp_path):
         lines = workspace["dataset_path"].read_text().splitlines()

@@ -5,9 +5,10 @@ import pytest
 
 from pspt import scoring
 from pspt import tensor as T
-from pspt.adapter import assemble_input, init_pspt_params
+from pspt.adapter import assemble_input, init_pspt_params, load_params, save_params
 from pspt.errors import ConfigError, ContractError, InputError
 from pspt.model import MicroLM, ModelConfig, Vocabulary
+from pspt.optim import trainable
 from pspt.scoring import (
     DEFAULT_UPR_PROMPT,
     Candidate,
@@ -254,3 +255,29 @@ class TestRerank:
         scorer = make_upr_scorer(demo_model)
         cands = [Candidate(f"d{i}", f"w{i} w{i + 3}", i + 1, 0.0) for i in range(5)]
         assert rerank("w1 w2", cands, scorer) == rerank("w1 w2", cands, scorer)
+
+
+class TestGraphFreeScoring:
+    """Parameters are frozen unless `trainable` unfreezes them, so scoring
+    with loaded parameters records no backward graph."""
+
+    QUESTION, PASSAGES = [12, 13, 14], [[10, 11], [15], [16, 17, 18, 19]]
+
+    @pytest.fixture
+    def loaded(self, params, tmp_path):
+        params.adapter.B.data = T.make_rng(83).normal(0, 0.05, params.adapter.B.shape).astype(np.float32)
+        save_params(params, tmp_path / "theta.ckpt")
+        return load_params(tmp_path / "theta.ckpt")
+
+    def test_loaded_params_score_without_graph(self, demo_model, loaded):
+        scores = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+        assert not scores.requires_grad
+        assert scores._parents == () and scores._backward is None
+
+    def test_scores_bitwise_equal_to_those_inside_trainable(self, demo_model, loaded):
+        free = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+        with trainable(loaded.tensors().values()):
+            graphed = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+            assert graphed.requires_grad
+        assert free.data.dtype == graphed.data.dtype
+        assert free.data.tobytes() == graphed.data.tobytes()

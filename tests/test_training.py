@@ -5,9 +5,10 @@ import pytest
 
 from pspt import tensor as T
 from pspt.adapter import init_pspt_params
-from pspt.errors import ConfigError, ContractError, DataError
+from pspt.errors import ConfigError, ContractError, DataError, NumericError
 from pspt.evaluation import Passage, QaDataset, Question
 from pspt.model import MicroLM, ModelConfig, Vocabulary
+from pspt.optim import trainable
 from pspt.scoring import score_pspt
 from pspt.training import (
     _batch_loss,
@@ -171,12 +172,11 @@ class TestLosses:
             return loss_total(q, dp, dn, params64, model64).item()
 
         fd = T.finite_diff_grad(objective, arrays, eps=1e-5)
-        for t in params64.tensors().values():
-            t.zero_grad()
-        T.backward(loss_total(q, dp, dn, params64, model64))
-        for tensor, grad in zip(params64.tensors().values(), fd):
-            denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
-            assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
+        with trainable(params64.tensors().values()):
+            T.backward(loss_total(q, dp, dn, params64, model64))
+            for tensor, grad in zip(params64.tensors().values(), fd):
+                denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
+                assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
 
 
 class TestBatchLoss:
@@ -213,10 +213,11 @@ class TestBatchLoss:
         # which finite_diff_grad must detect and re-check at a smaller step
         fd = T.finite_diff_grad(lambda _: _batch_loss(pairs, params, model, config)[0].item(),
                                 arrays, eps=1e-5)
-        T.backward(_batch_loss(pairs, params, model, config)[0])
-        for tensor, grad in zip(params.tensors().values(), fd):
-            denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
-            assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
+        with trainable(params.tensors().values()):
+            T.backward(_batch_loss(pairs, params, model, config)[0])
+            for tensor, grad in zip(params.tensors().values(), fd):
+                denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
+                assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
 
 
 def overfit_setup(demo_model, n=12):
@@ -273,6 +274,24 @@ class TestTrain:
                    for k in theta_before)
         for name, data in model_before.items():
             np.testing.assert_array_equal(demo_model.params[name].data, data)
+
+    @staticmethod
+    def assert_frozen(tensors):
+        assert all(not t.requires_grad and t.grad is None for t in tensors)
+
+    def test_everything_frozen_after_training(self, demo_model, params):
+        result = train(self.quick_config(epochs=1), overfit_setup(demo_model), demo_model, params)
+        self.assert_frozen(params.tensors().values())
+        self.assert_frozen(result.params.tensors().values())
+        self.assert_frozen(demo_model.params.values())
+
+    def test_everything_frozen_after_a_failing_step(self, demo_model, params):
+        params.soft_prompt.e1.data[:] = np.nan
+        with pytest.raises(NumericError):
+            train(self.quick_config(dev_fraction=0.0), overfit_setup(demo_model), demo_model,
+                  params)
+        self.assert_frozen(params.tensors().values())
+        self.assert_frozen(demo_model.params.values())
 
     def test_learning_rates_decay_linearly(self, demo_model, params):
         config = self.quick_config(epochs=2)
