@@ -129,41 +129,42 @@ class AssembledInput:
     lengths: list[int]  # rows per segment, in order; they sum to the row count
 
 
-def assemble_segments(model: MicroLM, passages, question_ids, embed_passages,
+def assemble_segments(model: MicroLM, pairs, embed_passages,
                       prefix_rows: int = 0) -> AssembledInput:
-    """Pack one [passage rows; separator; question] segment per passage,
-    row-wise, each to follow a shared prefix of `prefix_rows` rows.
+    """Pack one [passage rows; separator; question] segment per
+    (passage_ids, question_ids) pair, row-wise, each to follow a shared
+    prefix of `prefix_rows` rows.
 
     `embed_passages` maps the kept ids of all passages, concatenated, to
     one row per id, so the tensor work is done once for the whole list.
     Passages are truncated from the right so that prefix and segment fit
     max_seq_len; questions are never truncated.
     """
-    question_ids = model.validate_ids(question_ids)
-    if not question_ids:
-        raise ContractError("question must contain at least one token")
-    tail_ids = model.vocab.encode(SEPARATOR_TEXT) + question_ids
-    budget = model.config.max_seq_len - prefix_rows - len(tail_ids)
-    if budget < 0:
-        raise SequenceLengthError(
-            f"prompt ({prefix_rows}) + separator ({len(tail_ids) - len(question_ids)}) + "
-            f"question ({len(question_ids)}) exceed max_seq_len {model.config.max_seq_len}"
-        )
-    kept = [list(d)[:budget] for d in passages]
-    n_kept = sum(len(d) for d in kept)
-    rows = embed_passages([t for d in kept for t in d])
-    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tail
-    tail = range(n_kept, n_kept + len(tail_ids))
+    sep_ids = model.vocab.encode(SEPARATOR_TEXT)
+    kept, tail_ids = [], []
+    for d, q in pairs:
+        q = model.validate_ids(q)
+        if not q:
+            raise ContractError("question must contain at least one token")
+        budget = model.config.max_seq_len - prefix_rows - len(sep_ids) - len(q)
+        if budget < 0:
+            raise SequenceLengthError(
+                f"prompt ({prefix_rows}) + separator ({len(sep_ids)}) + "
+                f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
+        kept.append((list(d)[:budget], q))
+        tail_ids += sep_ids + q
+    rows = embed_passages([t for d, _ in kept for t in d])
+    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tails
     index, lengths, targets = [], [], []
-    first = 0  # this passage's first row in the table
-    for d in kept:
-        seg_start = len(index)
+    first, tail = 0, rows.shape[0]  # this pair's first passage row and first tail row
+    for d, q in kept:
         index.extend(range(first, first + len(d)))
-        index.extend(tail)
-        first += len(d)
-        lengths.append(len(index) - seg_start)
-        targets.extend(range(len(index) - len(question_ids) - 1, len(index) - 1))
-    return AssembledInput(T.gather_rows(table, index), targets, question_ids * len(kept), lengths)
+        index.extend(range(tail, tail + len(sep_ids) + len(q)))
+        first, tail = first + len(d), tail + len(sep_ids) + len(q)
+        lengths.append(len(d) + len(sep_ids) + len(q))
+        targets.extend(range(len(index) - len(q) - 1, len(index) - 1))
+    return AssembledInput(T.gather_rows(table, index), targets,
+                          [t for _, q in kept for t in q], lengths)
 
 
 def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
@@ -171,7 +172,7 @@ def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
     """One full sequence: the prefix blocks, then the passage's segment from
     assemble_segments; positions count from the start of the prefix."""
     n_pre = sum(b.shape[0] for b in prefix_blocks)
-    seg = assemble_segments(model, [passage_ids], question_ids, embed_passages,
+    seg = assemble_segments(model, [(passage_ids, question_ids)], embed_passages,
                             prefix_rows=n_pre)
     x = T.concat_rows([*prefix_blocks, seg.embeddings])
     return AssembledInput(x, [n_pre + r for r in seg.target_positions], seg.target_ids,

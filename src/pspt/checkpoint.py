@@ -2,13 +2,17 @@
 
 Layout: magic "PSPT" | u32 version | u64 header length | JSON header |
 raw little-endian float32 buffers in header order. The JSON header holds
-the model config, the vocabulary, free-form metadata, and the buffer
-index (name + shape per buffer). Round trips are bit-exact. The reader
-checks the header's structure and that the last buffer ends the file.
+the model config, the vocabulary, free-form metadata, the buffer index
+(name + shape per buffer) and the SHA-256 of the buffer bytes. Round
+trips are bit-exact. The reader checks the header's structure, that the
+last buffer ends the file and that the buffer bytes match their
+checksum. Version 1 files, written before the checksum existed, are
+rejected with a CheckpointError that names their version; re-create them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -21,7 +25,7 @@ from .model import MicroLM, ModelConfig, Vocabulary, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"PSPT"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -37,11 +41,16 @@ def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
                          vocab: Vocabulary | None = None,
                          meta: dict | None = None) -> None:
     names = sorted(buffers)
+    arrays = [np.ascontiguousarray(buffers[n], dtype="<f4") for n in names]
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
     header = {
         "config": asdict(config) if config is not None else None,
         "vocab": vocab.tokens if vocab is not None else None,
         "meta": meta or {},
         "buffers": [{"name": n, "shape": list(buffers[n].shape)} for n in names],
+        "sha256": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
@@ -49,8 +58,8 @@ def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for n in names:
-            f.write(np.ascontiguousarray(buffers[n], dtype="<f4").tobytes())
+        for a in arrays:
+            f.write(a.tobytes())
 
 
 def load_checkpoint_file(path) -> Checkpoint:
@@ -60,7 +69,8 @@ def load_checkpoint_file(path) -> Checkpoint:
         raise CheckpointError(f"bad magic: expected {MAGIC!r}, got {raw[:4]!r}")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
-        raise CheckpointError(f"unsupported version {version}, expected {VERSION}")
+        raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION} "
+                              "(version 1 has no buffer checksum: re-create the file)")
     (header_len,) = struct.unpack_from("<Q", raw, 8)
     if 16 + header_len > len(raw):
         raise CheckpointError("truncated header")
@@ -84,6 +94,8 @@ def load_checkpoint_file(path) -> Checkpoint:
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{len(raw) - offset} trailing bytes after the last buffer")
+    if header.get("sha256") != hashlib.sha256(memoryview(raw)[16 + header_len:]).hexdigest():
+        raise CheckpointError("buffer bytes do not match the header's SHA-256: corrupted file")
     config, vocab, meta = header.get("config"), header.get("vocab"), header.get("meta", {})
     if config and not (isinstance(config, dict) and all(map(_is_count, config.values()))):
         raise CheckpointError(f"model config {config!r} is not an object of integers")

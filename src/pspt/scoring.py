@@ -9,9 +9,10 @@ prompt text ends with one in-context example passage and question.
 A score is the summed log-likelihood; `ListScorer` applies the score
 mode ("sum" or "mean" over question tokens).
 
-A question's candidates are scored together: the prefix is shared by
-one packed forward and computed once, and each passage is a segment
-after it that sees the prefix but no other passage.
+Pairs are scored together: the prefix is shared by one packed forward
+and computed once, and each (passage, question) pair is a segment after
+it that sees the prefix but no other segment. A candidate list repeats
+one question; a training step or dev group packs many questions.
 """
 
 from __future__ import annotations
@@ -23,15 +24,9 @@ import numpy as np
 
 from . import adapter
 from . import tensor as T
-# assemble_blocks and assemble_input are not used here; perfbench's tracer
-# wraps them under these names
-from .adapter import (  # noqa: F401
-    SEPARATOR_TEXT,
-    PsptParams,
-    assemble_blocks,
-    assemble_input,
-    assemble_segments,
-)
+from .adapter import SEPARATOR_TEXT, PsptParams, assemble_segments
+# not used here; perfbench's tracer wraps them under these names
+from .adapter import assemble_blocks, assemble_input  # noqa: F401
 from .errors import ConfigError, ContractError, InputError
 from .model import MicroLM
 from .tensor import Tensor
@@ -60,25 +55,32 @@ def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
                    embed_passages) -> Tensor:
     """Question log-likelihood after `prefix` and each passage, one entry per
     passage, from one packed forward in which the prefix is computed once.
-    `embed_passages` maps passage ids to one input row per id."""
+    `question_ids` is one question for every passage, or a list of one
+    question per passage. `embed_passages` maps passage ids to one input
+    row per id."""
     if not passages:
         raise ContractError("scoring needs at least one passage")
     if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
         raise ContractError("passages must be a list of token-id lists")
-    packed = assemble_segments(model, passages, question_ids, embed_passages,
-                               prefix_rows=prefix.shape[0])
-    shape = (len(packed.lengths), -1)
-    rows = np.reshape(packed.target_positions, shape)
+    if not (len(question_ids) and isinstance(question_ids[0], (list, tuple, np.ndarray))):
+        question_ids = [question_ids] * len(passages)  # one question for every passage
+    packed = assemble_segments(model, list(zip(passages, question_ids, strict=True)),
+                               embed_passages, prefix_rows=prefix.shape[0])
+    # each passage's targets, padded with its last one to the longest question and masked out
+    mask = np.arange(max(map(len, question_ids))) < np.array([[len(q)] for q in question_ids])
+    picks = np.cumsum(mask).reshape(mask.shape) - 1
+    rows = np.asarray(packed.target_positions)[picks]
     logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, prefix, rows)
     flat = T.reshape(logprobs, (rows.size, model.config.vocab_size))
-    picked = T.take_entries(flat, np.arange(rows.size).reshape(shape),
-                            np.reshape(packed.target_ids, shape))
-    return T.tsum(picked, axis=1)
+    picked = T.take_entries(flat, np.arange(rows.size).reshape(rows.shape),
+                            np.asarray(packed.target_ids)[picks])
+    return T.tsum(T.mul(picked, mask.astype(model.dtype)), axis=1)
 
 
 def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM) -> Tensor:
     """Differentiable sum of question-token log-probs after the soft prompt
-    and each adapted passage, one entry per passage."""
+    and each adapted passage, one entry per passage; `question_ids` is one
+    question or one per passage."""
     # passage_embedding is looked up on its module per call, where perfbench's tracer wraps it
     return _packed_loglik(model, params.soft_prompt.e1, question_ids, passages,
                           lambda ids: adapter.passage_embedding(ids, params, model))
@@ -102,12 +104,12 @@ def score_upr(question_ids, passage_ids, model: MicroLM,
     return float(hard_prompt_loglik(question_ids, [passage_ids], model, prompt_text).data[0])
 
 
-def _groups(passages: list[list[int]], rows: list[int], max_rows: int) -> list[list[list[int]]]:
-    """Consecutive runs of passages whose segments, of `rows[i]` rows for
-    passage i, total at most max_rows rows (one segment may exceed it alone)."""
-    groups: list[list[list[int]]] = []
+def _groups(items: list, rows: list[int], max_rows: int) -> list[list]:
+    """Consecutive runs of items whose segments, of `rows[i]` rows for item
+    i, total at most max_rows rows (one item may exceed it alone)."""
+    groups: list[list] = []
     total = max_rows
-    for d, n in zip(passages, rows):
+    for d, n in zip(items, rows):
         if total + n > max_rows:
             groups.append([])
             total = 0

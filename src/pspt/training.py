@@ -1,9 +1,12 @@
 """Adapter-parameter training with the combined pointwise + pairwise loss.
 
-Each step averages the per-pair loss over an in-batch-expanded batch,
+Each step scores its whole in-batch-expanded batch in one packed forward,
+every segment carrying its own question, averages the per-pair loss,
 backpropagates into the soft prompt and adapter only, clips the global
-gradient norm, and applies Adam with linearly decaying learning rates.
-Early stopping keeps the parameter snapshot with the best dev loss.
+gradient norm (logged with whether it clipped), and applies Adam with
+linearly decaying learning rates. A dev pass is one packed forward per
+MAX_PACKED_ROWS rows of dev pairs. Early stopping keeps the parameter
+snapshot with the best dev loss.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import PsptParams
+from .adapter import SEPARATOR_TEXT, PsptParams
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
 from .model import MicroLM, Vocabulary
 from .optim import Adam, clip_global_norm, trainable
-from .scoring import question_loglik
+from .scoring import MAX_PACKED_ROWS, _groups, question_loglik
 from .tensor import Tensor
 
 logger = logging.getLogger(__name__)
@@ -135,13 +138,10 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInsta
     return pairs
 
 
-def _question_terms(question, positive, negatives, params: PsptParams,
-                    model: MicroLM) -> tuple[Tensor, Tensor]:
-    """Point term -score(positive), shape [1], and hinge terms
-    max(0, score(negative) - score(positive)), one per negative, from a
-    single scoring call over [positive, *negatives]."""
-    scores = question_loglik(question, [positive, *negatives], params, model)
-    s_pos, s_neg = T.split_rows(scores, [1, len(negatives)])
+def _terms(scores: Tensor) -> tuple[Tensor, Tensor]:
+    """Point term -s_pos, shape [1], and one hinge max(0, s_neg - s_pos) per
+    negative, from one question's scores [positive, *negatives]."""
+    s_pos, s_neg = T.split_rows(scores, [1, scores.shape[0] - 1])
     return T.neg(s_pos), T.relu(T.add(s_neg, T.neg(s_pos)))
 
 
@@ -152,30 +152,30 @@ def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor
 
 def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM) -> Tensor:
     """Hinge on the score margin: max(0, score(negative) - score(positive))."""
-    return T.tsum(_question_terms(question, positive, [negative], params, model)[1])
+    return T.tsum(_terms(question_loglik(question, [positive, negative], params, model))[1])
 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
                point_weight: float = 1.0, pair_weight: float = 1.0) -> Tensor:
-    point, pair = _question_terms(question, positive, [negative], params, model)
+    point, pair = _terms(question_loglik(question, [positive, negative], params, model))
     return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
 def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroLM,
                 config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean pair-level loss, with one scoring call per question over its
-    positive and all of its negatives."""
+    """Mean pair-level loss from one packed forward: every question's
+    positive and all of its negatives are segments of one question_loglik
+    call, whose scores are then split per question."""
     groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
         groups.setdefault((p.question_id, p.positive_id), []).append(p)
-    point_terms, pair_terms = [], []
-    for group in groups.values():
-        point, pair = _question_terms(group[0].question, group[0].positive,
-                                      [p.negative for p in group], params, model)
-        point_terms.append(T.mul(point, float(len(group))))  # one point term per pair
-        pair_terms.append(pair)
-    point = T.mul(T.tsum(T.concat_rows(point_terms)), 1.0 / len(pairs))
-    pair = T.mul(T.tsum(T.concat_rows(pair_terms)), 1.0 / len(pairs))
+    questions = [g[0].question for g in groups.values() for _ in range(1 + len(g))]
+    passages = [d for g in groups.values() for d in [g[0].positive, *(p.negative for p in g)]]
+    scores = question_loglik(questions, passages, params, model)
+    sizes = [len(g) for g in groups.values()]
+    points, hinges = zip(*map(_terms, T.split_rows(scores, [1 + n for n in sizes])))
+    point = T.tsum(T.mul(T.concat_rows(points), np.array(sizes) / len(pairs)))  # one per pair
+    pair = T.mul(T.tsum(T.concat_rows(hinges)), 1.0 / len(pairs))
     total = T.add(T.mul(point, config.point_weight), T.mul(pair, config.pair_weight))
     return total, point, pair
 
@@ -197,12 +197,12 @@ def write_train_log(log: list[dict], path) -> None:
 
 def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: MicroLM,
               config: TrainConfig) -> float:
-    values = [
-        loss_total(inst.question, inst.positive, inst.negative, params, model,
-                   config.point_weight, config.pair_weight).item()
-        for inst in instances
-    ]
-    return float(np.mean(values))
+    """Mean loss_total over the instances, from one packed forward per
+    MAX_PACKED_ROWS rows of their (positive, negative) segments."""
+    sep = len(model.vocab.encode(SEPARATOR_TEXT))
+    rows = [len(i.positive) + len(i.negative) + 2 * (sep + len(i.question)) for i in instances]
+    return sum(_batch_loss(group, params, model, config)[0].item() * len(group)
+               for group in _groups(instances, rows, MAX_PACKED_ROWS)) / len(instances)
 
 
 def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM,
@@ -254,7 +254,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 if not math.isfinite(loss_value):
                     raise NumericError(f"non-finite loss at step {step}")
                 T.backward(total)
-                clip_global_norm(theta, config.grad_clip)
+                grad_norm = clip_global_norm(theta, config.grad_clip)
                 opt.step(scale)
             log.append({
                 "step": step,
@@ -264,6 +264,8 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 "loss": loss_value,
                 "loss_point": point.item(),
                 "loss_pair": pair.item(),
+                "grad_norm": grad_norm,
+                "clipped": grad_norm > config.grad_clip,
             })
             step += 1
         if dev_set:

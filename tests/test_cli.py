@@ -232,7 +232,8 @@ class TestTrain:
         step_records = [r for r in records if "step" in r]
         epoch_records = [r for r in records if "dev_loss" in r]
         assert step_records and epoch_records
-        assert {"lr_g1", "lr_g2", "loss", "loss_point", "loss_pair"} <= set(step_records[0])
+        assert {"lr_g1", "lr_g2", "loss", "loss_point", "loss_pair", "grad_norm",
+                "clipped"} <= set(step_records[0])
 
 
 class TestRerank:
@@ -544,6 +545,31 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "bad.ckpt"
         _rewrite_buffers(trained["theta"], bad, mutate)
         self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
+
+    def test_flipped_exponent_bit_in_soft_prompt_is_data_error(self, workspace, trained,
+                                                               tmp_path, capsys):
+        raw = bytearray(trained["theta"].read_bytes())
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16:16 + n])
+        offset = 16 + n
+        for entry in header["buffers"]:  # buffers follow the header in index order
+            if entry["name"] == "pspt.e1":
+                break
+            offset += 4 * entry["shape"][0] * entry["shape"][1]
+        raw[offset + 3] ^= 0x40  # the top exponent bit of little-endian e1[0, 0]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(raw))
+        code = self.rerank(workspace, tmp_path, trained["model"], bad)
+        self.assert_data_error(code, capsys)
+        assert not (tmp_path / "o.run").exists()
+
+    def test_version_1_checkpoint_is_data_error(self, workspace, trained, tmp_path, capsys):
+        raw = bytearray(trained["model"].read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(bytes(raw))
+        assert self.rerank(workspace, tmp_path, old) == 2
+        assert "version 1" in capsys.readouterr().err
 
     def test_rewritten_but_unchanged_checkpoint_still_loads(self, workspace, trained,
                                                             tmp_path):

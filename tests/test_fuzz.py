@@ -3,10 +3,12 @@
 Each case replaces one field of a valid config, dataset record or JSON
 run record with a drawn JSON value, or flips one byte of an adapter
 checkpoint or cuts it short, and runs the command that reads it. `pspt.cli.main` must
-return 0, 1, 2 or 3 and never raise.
+return 0, 1, 2 or 3 and never raise. A byte flipped inside a checkpoint's
+buffers fails the buffer checksum: exit 2, never 0.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -143,5 +145,8 @@ def test_corrupted_adapter_checkpoint(workspace, data, truncate):
         bad = bytearray(raw)
         bad[at] ^= data.draw(st.integers(1, 255))
     Path("bad.ckpt").write_bytes(bytes(bad))
-    run_cli("rerank", "--run-in", "bm25.run", "--run-out", "o.run", "--scorer", "pspt",
-            "--params", "bad.ckpt")
+    code = run_cli("rerank", "--run-in", "bm25.run", "--run-out", "o.run", "--scorer", "pspt",
+                   "--params", "bad.ckpt")
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    if not truncate and at >= 16 + header_len:
+        assert code == 2

@@ -1,5 +1,7 @@
 """Tokenizer, micro LM forward pass, pretraining, and checkpoint round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,26 @@ class TestCheckpoint:
         raw[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
+            load_model(path)
+
+    def test_version_1_rejected_by_name(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first-buffer-byte", "last-byte"])
+    def test_flipped_buffer_byte_fails_checksum(self, tiny_model, tmp_path, where):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model, path)
+        raw = bytearray(path.read_bytes())
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        raw[16 + n if where == 0 else where] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="SHA-256"):
             load_model(path)
 
     def test_truncation_names_buffer(self, tiny_model, tmp_path):

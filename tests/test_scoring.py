@@ -189,6 +189,46 @@ class TestBatchedScoring:
             question_loglik([10], [20, 21], params, demo_model)
 
 
+class TestMultiQuestionPacking:
+    """One packed call over passages with different questions equals each
+    pair scored alone, within a relative bound: GEMM blocking may differ
+    with the padded question width."""
+
+    def pairs(self):
+        rng = T.make_rng(47)
+        passages = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (0, 3, 12, 5, 1, 20)]
+        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in (2, 5, 3, 4, 2, 5)]
+        return passages, questions
+
+    def check(self, loglik, dtype, tol):
+        passages, questions = self.pairs()
+        together = loglik(questions, passages).data
+        alone = np.array([loglik(q, [d]).data[0] for d, q in zip(passages, questions)])
+        assert together.dtype == dtype and together.shape == alone.shape
+        assert np.all(np.abs(together - alone) <= tol * np.maximum(1.0, np.abs(alone)))
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_pspt_pairs_equal_alone(self, demo_model, params, dtype, tol):
+        model, theta = demo_model.astype(dtype), params.astype(dtype)
+        theta.adapter.B.data = T.make_rng(48).normal(0, 0.1, theta.adapter.B.shape).astype(dtype)
+        self.check(lambda q, ds: question_loglik(q, ds, theta, model), dtype, tol)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_hard_prompt_pairs_equal_alone(self, demo_model, dtype, tol):
+        model = demo_model.astype(dtype)
+        self.check(lambda q, ds: hard_prompt_loglik(q, ds, model, DEFAULT_UPR_PROMPT), dtype, tol)
+
+    def test_repeated_question_equals_one_question(self, demo_model, params):
+        passages, _ = self.pairs()
+        np.testing.assert_array_equal(
+            question_loglik([[10, 11, 12]] * len(passages), passages, params, demo_model).data,
+            question_loglik([10, 11, 12], passages, params, demo_model).data)
+
+    def test_question_count_must_match_passages(self, demo_model, params):
+        with pytest.raises(ValueError):
+            question_loglik([[10, 11], [12]], [[20], [21], [22]], params, demo_model)
+
+
 class TestRerank:
     def test_single_candidate_unchanged(self, demo_model):
         cands = candidates(1)

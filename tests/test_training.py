@@ -1,5 +1,7 @@
 """Instance building, in-batch expansion, losses, and the training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pspt.optim import trainable
 from pspt.scoring import score_pspt
 from pspt.training import (
     _batch_loss,
+    _dev_loss,
     TrainConfig,
     TrainingInstance,
     build_instances,
@@ -20,6 +23,7 @@ from pspt.training import (
     loss_point,
     loss_total,
     train,
+    write_train_log,
 )
 
 
@@ -180,9 +184,10 @@ class TestLosses:
 
 
 class TestBatchLoss:
-    """The training loss makes one scoring call per question."""
+    """The training loss scores a whole batch, every question with its
+    positive and negatives, in one packed forward."""
 
-    def setup(self, demo_model, dtype=np.float64):
+    def setup(self, demo_model, dtype=np.float64, question_lengths=(2, 2, 2)):
         model = demo_model.astype(dtype)
         params = init_pspt_params(model, soft_prompt_len=3, rank=1, alpha=16.0,
                                   seed=2).astype(dtype)
@@ -190,12 +195,18 @@ class TestBatchLoss:
         params.soft_prompt.e1.data += rng.normal(0, 0.05, params.soft_prompt.e1.shape)
         params.adapter.A.data = rng.normal(0, 0.05, params.adapter.A.shape)
         params.adapter.B.data = rng.normal(0, 0.05, params.adapter.B.shape)
-        batch = [TrainingInstance(f"q{i}", [10 + i, 11], f"p{i}", [20 + i, 21, 22 + i][: 2 + i % 2],
-                                  f"n{i}", [30 + 2 * i]) for i in range(3)]
+        batch = [TrainingInstance(f"q{i}", [10 + i, 11, 12, 13, 14][:n], f"p{i}",
+                                  [20 + i, 21, 22 + i][: 2 + i % 2], f"n{i}", [30 + 2 * i])
+                 for i, n in enumerate(question_lengths)]
         return model, params, expand_in_batch(batch, 3)
 
     def test_equals_mean_of_per_pair_losses(self, demo_model):
-        model, params, pairs = self.setup(demo_model)
+        self.check_mean_of_per_pair_losses(*self.setup(demo_model))
+
+    def test_mixed_question_lengths_equal_mean_of_per_pair_losses(self, demo_model):
+        self.check_mean_of_per_pair_losses(*self.setup(demo_model, question_lengths=(2, 5, 3)))
+
+    def check_mean_of_per_pair_losses(self, model, params, pairs):
         total, point, pair = _batch_loss(pairs, params, model, TrainConfig(pair_weight=0.5))
         points = [loss_point(p.question, p.positive, params, model).item() for p in pairs]
         hinges = [loss_pair(p.question, p.positive, p.negative, params, model).item()
@@ -205,8 +216,22 @@ class TestBatchLoss:
         np.testing.assert_allclose(total.item(), np.mean(points) + 0.5 * np.mean(hinges),
                                    rtol=1e-12)
 
+    def test_one_forward_per_batch(self, demo_model):
+        model, params, pairs = self.setup(demo_model, question_lengths=(2, 5, 3))
+        calls = []
+        forward = model.forward_logprobs
+        model.forward_logprobs = lambda *a, **k: calls.append(a[1]) or forward(*a, **k)
+        _batch_loss(pairs, params, model, TrainConfig())
+        # one segment per question's positive and per pair's negative
+        assert len(calls) == 1 and len(calls[0]) == 3 + len(pairs)
+
     def test_gradient_matches_finite_differences(self, demo_model):
-        model, params, pairs = self.setup(demo_model)
+        self.check_gradient(*self.setup(demo_model))
+
+    def test_mixed_question_lengths_gradient_matches_finite_differences(self, demo_model):
+        self.check_gradient(*self.setup(demo_model, question_lengths=(4, 2, 3)))
+
+    def check_gradient(self, model, params, pairs):
         config = TrainConfig(point_weight=0.7, pair_weight=1.3)
         arrays = [params.soft_prompt.e1.data, params.adapter.A.data, params.adapter.B.data]
         # at eps 1e-5 one coordinate of A straddles a ReLU kink of the frozen FFN,
@@ -218,6 +243,29 @@ class TestBatchLoss:
             for tensor, grad in zip(params.tensors().values(), fd):
                 denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
                 assert np.max(np.abs(tensor.grad - grad) / denom) < 1e-4
+
+
+class TestDevLoss:
+    def test_equals_mean_of_loss_total_over_several_forwards(self, demo_model):
+        model = demo_model.astype(np.float64)
+        params = init_pspt_params(model, soft_prompt_len=3, seed=2).astype(np.float64)
+        rng = T.make_rng(81)
+        params.adapter.B.data = rng.normal(0, 0.05, params.adapter.B.shape)
+
+        def ids(n):
+            return [int(t) for t in rng.integers(8, 40, size=n)]
+
+        instances = [TrainingInstance(f"q{i}", ids(2 + i % 4), f"p{i}", ids(30), f"n{i}", ids(25))
+                     for i in range(12)]
+        config = TrainConfig(point_weight=0.7, pair_weight=1.3)
+        calls = []
+        forward = model.forward_logprobs
+        model.forward_logprobs = lambda *a, **k: calls.append(1) or forward(*a, **k)
+        got = _dev_loss(instances, params, model, config)
+        assert 1 < len(calls) < len(instances)  # more than one MAX_PACKED_ROWS group
+        expected = np.mean([loss_total(i.question, i.positive, i.negative, params, model,
+                                       0.7, 1.3).item() for i in instances])
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def overfit_setup(demo_model, n=12):
@@ -254,6 +302,20 @@ class TestTrain:
             np.testing.assert_array_equal(outs[0].params.tensors()[name].data,
                                           outs[1].params.tensors()[name].data)
         assert outs[0].log == outs[1].log
+
+    def test_log_records_gradient_norm_and_clipping_reproducibly(self, demo_model, tmp_path):
+        config = self.quick_config(epochs=2, grad_clip=0.5)
+        logs = []
+        for run in range(2):
+            params = init_pspt_params(demo_model, soft_prompt_len=6, seed=9)
+            result = train(config, overfit_setup(demo_model), demo_model, params)
+            write_train_log(result.log, tmp_path / f"log{run}.jsonl")
+            logs.append((tmp_path / f"log{run}.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+        steps = [json.loads(line) for line in logs[0].splitlines() if b'"step"' in line]
+        assert steps and all(r["grad_norm"] > 0 for r in steps)
+        assert all(r["clipped"] == (r["grad_norm"] > config.grad_clip) for r in steps)
+        assert {r["clipped"] for r in steps} == {True, False}
 
     def test_dev_loss_improves_on_overfit_task(self, demo_model, params):
         result = train(self.quick_config(epochs=6), overfit_setup(demo_model), demo_model, params)
