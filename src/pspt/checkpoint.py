@@ -1,13 +1,14 @@
 """Binary checkpoint container for model and adapter parameters.
 
 Layout: magic "PSPT" | u32 version | u64 header length | JSON header |
-raw little-endian float32 buffers in header order. The JSON header holds
-the model config, the vocabulary, free-form metadata, the buffer index
-(name + shape per buffer) and the SHA-256 of the buffer bytes. Round
-trips are bit-exact. The reader checks the header's structure, that the
-last buffer ends the file and that the buffer bytes match their
-checksum. Version 1 files, written before the checksum existed, are
-rejected with a CheckpointError that names their version; re-create them.
+raw little-endian float32 buffers in header order | 32-byte SHA-256 of
+every byte before it. The JSON header holds the model config, the
+vocabulary, free-form metadata and the buffer index (name + shape per
+buffer). Round trips are bit-exact. The reader checks the digest before
+it parses the header, then the header's structure and that the last
+buffer ends where the digest begins. Files of versions 1 (no checksum)
+and 2 (a checksum of the buffers only) are rejected with a
+CheckpointError that names their version; re-create them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .model import MicroLM, ModelConfig, Vocabulary, param_shapes
 from .tensor import Tensor
 
 MAGIC = b"PSPT"
-VERSION = 2
+VERSION = 3
+DIGEST_BYTES = 32
 
 
 @dataclass
@@ -42,24 +44,19 @@ def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
                          meta: dict | None = None) -> None:
     names = sorted(buffers)
     arrays = [np.ascontiguousarray(buffers[n], dtype="<f4") for n in names]
-    digest = hashlib.sha256()
-    for a in arrays:
-        digest.update(a)
     header = {
         "config": asdict(config) if config is not None else None,
         "vocab": vocab.tokens if vocab is not None else None,
         "meta": meta or {},
         "buffers": [{"name": n, "shape": list(buffers[n].shape)} for n in names],
-        "sha256": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(header_bytes)))
-        f.write(header_bytes)
-        for a in arrays:
-            f.write(a.tobytes())
+        for part in (MAGIC, struct.pack("<IQ", VERSION, len(header_bytes)), header_bytes, *arrays):
+            digest.update(part)
+            f.write(part)
+        f.write(digest.digest())
 
 
 def load_checkpoint_file(path) -> Checkpoint:
@@ -67,12 +64,15 @@ def load_checkpoint_file(path) -> Checkpoint:
         raw = f.read()
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise CheckpointError(f"bad magic: expected {MAGIC!r}, got {raw[:4]!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION} "
-                              "(version 1 has no buffer checksum: re-create the file)")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    if 16 + header_len > len(raw):
+                              "(version 1 has no checksum and version 2 checks only its "
+                              "buffers: re-create the file)")
+    end = len(raw) - DIGEST_BYTES
+    if end < 16 or hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
+        raise CheckpointError("file bytes do not match their SHA-256: corrupted or truncated file")
+    if 16 + header_len > end:
         raise CheckpointError("truncated header")
     try:
         header = json.loads(raw[16 : 16 + header_len].decode())
@@ -88,14 +88,12 @@ def load_checkpoint_file(path) -> Checkpoint:
             raise CheckpointError(f"malformed buffer entry {entry!r}")
         name, shape = entry["name"], tuple(entry["shape"])
         nbytes = math.prod(shape) * 4
-        if offset + nbytes > len(raw):
+        if offset + nbytes > end:
             raise CheckpointError(f"truncated payload at buffer {name!r}")
         buffers[name] = np.frombuffer(raw, dtype="<f4", count=nbytes // 4, offset=offset).reshape(shape).copy()
         offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError(f"{len(raw) - offset} trailing bytes after the last buffer")
-    if header.get("sha256") != hashlib.sha256(memoryview(raw)[16 + header_len:]).hexdigest():
-        raise CheckpointError("buffer bytes do not match the header's SHA-256: corrupted file")
+    if offset != end:
+        raise CheckpointError(f"{end - offset} trailing bytes after the last buffer")
     config, vocab, meta = header.get("config"), header.get("vocab"), header.get("meta", {})
     if config and not (isinstance(config, dict) and all(map(_is_count, config.values()))):
         raise CheckpointError(f"model config {config!r} is not an object of integers")

@@ -14,6 +14,7 @@ import inspect
 import json
 import logging
 import os
+import sys
 from pathlib import Path
 
 from .adapter import SEPARATOR_TEXT, check_params_fit, init_pspt_params, load_params, save_params
@@ -86,7 +87,8 @@ DEFAULTS: dict = {
 
 
 def _fits(default, value) -> bool:
-    """Whether a config value has its default's type. Ints pass for floats,
+    """Whether a config value has its default's type. Numbers within float
+    range pass for floats (JSON's NaN and Infinity and larger ints do not),
     only bools pass for bools, a null default takes a string or null, and
     list elements must fit the default's first element."""
     if default is None:
@@ -94,7 +96,7 @@ def _fits(default, value) -> bool:
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(d, v) for d in default[:1] for v in value)
     return isinstance(value, type(default))

@@ -1,11 +1,11 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Deliberately small: matmul over leading batch axes, softmaxes and layer
-norm over the last axis, reshape / permute, gathers, concatenation and
-its inverse split are everything a micro decoder-only transformer needs,
-with attention heads batched along a leading axis. float32 is the
-working precision; passing float64 arrays switches the whole downstream
-graph to float64 for gradient verification.
+norm over the last axis, reshape / permute, gathers and concatenation
+are everything a micro decoder-only transformer needs, with attention
+heads batched along a leading axis. float32 is the working precision;
+passing float64 arrays switches the whole downstream graph to float64
+for gradient verification.
 """
 
 from __future__ import annotations
@@ -92,13 +92,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad = t.grad + g
-
-
-def _accumulate_at(t: Tensor, index, g: np.ndarray) -> None:
-    """Add g into t.grad[index] without materializing a full-size gradient."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad[index] += g
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -382,26 +375,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             _accumulate(p, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
-
-
-def split_rows(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
-    """Cut `a` along axis 0 into consecutive parts of the given sizes.
-
-    The inverse of concat_rows; each part's gradient lands in its slice.
-    """
-    if a.ndim < 1 or sum(sizes) != a.shape[0] or min(sizes, default=0) < 0:
-        raise ShapeError(f"split_rows sizes {list(sizes)} do not partition the rows of {a.shape}")
-    parts = []
-    lo = 0
-    for n in sizes:
-        index = slice(lo, lo + n)
-
-        def backward(g, index=index):
-            _accumulate_at(a, index, g)
-
-        parts.append(_make(a.data[index], (a,), backward))
-        lo += n
-    return parts
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:

@@ -138,11 +138,17 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInsta
     return pairs
 
 
-def _terms(scores: Tensor) -> tuple[Tensor, Tensor]:
-    """Point term -s_pos, shape [1], and one hinge max(0, s_neg - s_pos) per
-    negative, from one question's scores [positive, *negatives]."""
-    s_pos, s_neg = T.split_rows(scores, [1, scores.shape[0] - 1])
-    return T.neg(s_pos), T.relu(T.add(s_neg, T.neg(s_pos)))
+def _terms(scores: Tensor, sizes: list[int]) -> tuple[Tensor, Tensor]:
+    """Point terms -s_pos, [Q, 1], and hinges max(0, s_neg - s_pos), one row
+    per negative, from packed scores laid out as one [positive, *negatives]
+    run per question, question i having sizes[i] negatives."""
+    counts = np.asarray(sizes)
+    starts = np.cumsum(1 + counts) - 1 - counts
+    column = T.reshape(scores, (-1, 1))
+    point = T.neg(T.gather_rows(column, starts))
+    negatives = T.gather_rows(column, np.delete(np.arange(scores.shape[0]), starts))
+    own = T.gather_rows(point, np.repeat(np.arange(len(counts)), counts))
+    return point, T.relu(T.add(negatives, own))
 
 
 def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor:
@@ -152,12 +158,12 @@ def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor
 
 def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM) -> Tensor:
     """Hinge on the score margin: max(0, score(negative) - score(positive))."""
-    return T.tsum(_terms(question_loglik(question, [positive, negative], params, model))[1])
+    return T.tsum(_terms(question_loglik(question, [positive, negative], params, model), [1])[1])
 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
                point_weight: float = 1.0, pair_weight: float = 1.0) -> Tensor:
-    point, pair = _terms(question_loglik(question, [positive, negative], params, model))
+    point, pair = _terms(question_loglik(question, [positive, negative], params, model), [1])
     return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
@@ -165,17 +171,16 @@ def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroL
                 config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
     """Mean pair-level loss from one packed forward: every question's
     positive and all of its negatives are segments of one question_loglik
-    call, whose scores are then split per question."""
+    call, and one _terms call turns its scores into the loss terms."""
     groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
         groups.setdefault((p.question_id, p.positive_id), []).append(p)
     questions = [g[0].question for g in groups.values() for _ in range(1 + len(g))]
     passages = [d for g in groups.values() for d in [g[0].positive, *(p.negative for p in g)]]
-    scores = question_loglik(questions, passages, params, model)
     sizes = [len(g) for g in groups.values()]
-    points, hinges = zip(*map(_terms, T.split_rows(scores, [1 + n for n in sizes])))
-    point = T.tsum(T.mul(T.concat_rows(points), np.array(sizes) / len(pairs)))  # one per pair
-    pair = T.mul(T.tsum(T.concat_rows(hinges)), 1.0 / len(pairs))
+    points, hinges = _terms(question_loglik(questions, passages, params, model), sizes)
+    point = T.tsum(T.mul(points, np.array(sizes)[:, None] / len(pairs)))  # one per pair
+    pair = T.mul(T.tsum(hinges), 1.0 / len(pairs))
     total = T.add(T.mul(point, config.point_weight), T.mul(pair, config.pair_weight))
     return total, point, pair
 

@@ -1,6 +1,7 @@
 """CLI workflows: config validation, reproducibility, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import struct
@@ -38,6 +39,12 @@ def workspace(tmp_path_factory):
     write_run_file(bm25_run(dataset, k=8), run_path)
     return {"root": root, "config": str(config_path), "dataset": dataset,
             "dataset_path": dataset_path, "run": str(run_path)}
+
+
+# every config key whose default is a float, as "section.key"
+FLOAT_KEYS = [f"{section}.{key}" for section, values in DEFAULTS.items()
+              if isinstance(values, dict) for key, default in values.items()
+              if isinstance(default, float)]
 
 
 class TestConfig:
@@ -108,6 +115,21 @@ class TestConfig:
                                     "paths": {"dataset": None}}))
         config = load_config(path)
         assert config["train"]["lr_adapter"] == 1 and config["eval"]["baseline_tag"] == "bm25"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "int-beyond-float-range"])
+    @pytest.mark.parametrize("where", FLOAT_KEYS)
+    def test_non_finite_float_is_exit_1(self, workspace, trained, tmp_path, capsys, where,
+                                        value):
+        config = json.loads(Path(workspace["config"]).read_text())
+        section, key = where.split(".")
+        config.setdefault(section, {})[key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))  # json writes NaN, Infinity, -Infinity, all digits
+        assert main(["--config", str(path), "train", "--checkpoint", str(trained["model"]),
+                     "--out", str(tmp_path / "t.ckpt"), "--log", str(tmp_path / "t.jsonl")]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "t.ckpt").exists()
 
     def test_wrong_type_is_exit_1(self, workspace, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -436,14 +458,15 @@ class TestMalformedInput:
 
 def _rewrite_checkpoint(src, dst, mutate=None, tail=b""):
     """Copy a checkpoint with its JSON header changed by `mutate` and `tail`
-    appended after the last buffer."""
+    appended after the last buffer, under a new SHA-256 trailer."""
     raw = Path(src).read_bytes()
     (n,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16:16 + n])
     if mutate is not None:
         mutate(header)
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    Path(dst).write_bytes(raw[:8] + struct.pack("<Q", len(encoded)) + encoded + raw[16 + n:] + tail)
+    body = raw[:8] + struct.pack("<Q", len(encoded)) + encoded + raw[16 + n:-32] + tail
+    Path(dst).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def _rewrite_buffers(src, dst, mutate):
@@ -564,12 +587,27 @@ class TestMalformedCheckpoint:
         assert not (tmp_path / "o.run").exists()
 
     def test_version_1_checkpoint_is_data_error(self, workspace, trained, tmp_path, capsys):
+        self.check_old_version(workspace, trained, tmp_path, capsys, 1)
+
+    def test_version_2_checkpoint_is_data_error(self, workspace, trained, tmp_path, capsys):
+        self.check_old_version(workspace, trained, tmp_path, capsys, 2)
+
+    def check_old_version(self, workspace, trained, tmp_path, capsys, version):
         raw = bytearray(trained["model"].read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", version)
         old = tmp_path / "old.ckpt"
         old.write_bytes(bytes(raw))
         assert self.rerank(workspace, tmp_path, old) == 2
-        assert "version 1" in capsys.readouterr().err
+        assert f"version {version}" in capsys.readouterr().err
+
+    def test_same_length_alpha_edit_in_header_is_data_error(self, workspace, trained,
+                                                            tmp_path, capsys):
+        raw = trained["theta"].read_bytes()
+        assert raw.count(b'"alpha":16.0') == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(b'"alpha":16.0', b'"alpha":26.0'))
+        self.assert_data_error(self.rerank(workspace, tmp_path, trained["model"], bad), capsys)
+        assert not (tmp_path / "o.run").exists()
 
     def test_rewritten_but_unchanged_checkpoint_still_loads(self, workspace, trained,
                                                             tmp_path):

@@ -1,5 +1,6 @@
 """Tokenizer, micro LM forward pass, pretraining, and checkpoint round trips."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -326,12 +327,18 @@ class TestCheckpoint:
             load_model(path)
 
     def test_version_1_rejected_by_name(self, tiny_model, tmp_path):
+        self.check_rejected_by_name(tiny_model, tmp_path, 1)
+
+    def test_version_2_rejected_by_name(self, tiny_model, tmp_path):
+        self.check_rejected_by_name(tiny_model, tmp_path, 2)
+
+    def check_rejected_by_name(self, tiny_model, tmp_path, version):
         path = tmp_path / "m.ckpt"
         save_model(tiny_model, path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (1).to_bytes(4, "little")
+        raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="version 1"):
+        with pytest.raises(CheckpointError, match=f"version {version}"):
             load_model(path)
 
     @pytest.mark.parametrize("where", [0, -1], ids=["first-buffer-byte", "last-byte"])
@@ -344,6 +351,22 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="SHA-256"):
             load_model(path)
+
+    def test_same_length_header_edit_fails_checksum(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model, path, meta={"note": "fixture"})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"note":"fixture"', b'"note":"fiXture"'))
+        with pytest.raises(CheckpointError, match="SHA-256"):
+            load_model(path)
+
+    def test_digest_is_a_trailer_over_every_byte_before_it(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_model(tiny_model, path)
+        raw = path.read_bytes()
+        assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+        (n,) = struct.unpack_from("<Q", raw, 8)
+        assert b"sha256" not in raw[16:16 + n]
 
     def test_truncation_names_buffer(self, tiny_model, tmp_path):
         path = tmp_path / "m.ckpt"

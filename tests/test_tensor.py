@@ -336,22 +336,6 @@ class TestBatchedOpsGradients:
         np.testing.assert_array_equal(T.transpose(x).data, x.data.transpose(0, 2, 1))
         check_gradients(lambda t: weighted(T.transpose(t[0])), self.arrays((2, 3, 4)))
 
-    def test_split_rows_then_use_parts_differently(self):
-        def build(t):
-            parts = T.split_rows(t[0], [1, 0, 3])
-            return T.add(weighted(parts[0], 1), weighted(T.relu(parts[2]), 2))
-
-        check_gradients(build, self.arrays((4, 4, 2)))
-        check_gradients(lambda t: weighted(T.split_rows(t[0], [2, 3])[1]), self.arrays((5,)))
-
-    def test_split_rows_inverts_concat_rows(self):
-        x = T.Tensor(self.rng.normal(size=(5, 3, 2)))
-        parts = T.split_rows(x, [2, 3])
-        assert [p.shape for p in parts] == [(2, 3, 2), (3, 3, 2)]
-        np.testing.assert_array_equal(T.concat_rows(parts).data, x.data)
-        with pytest.raises(ShapeError):
-            T.split_rows(x, [2, 2])
-
     def test_tsum_over_one_axis(self):
         check_gradients(lambda t: weighted(T.tsum(t[0], axis=1)), self.arrays((3, 4, 2)))
 

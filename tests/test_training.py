@@ -187,7 +187,7 @@ class TestBatchLoss:
     """The training loss scores a whole batch, every question with its
     positive and negatives, in one packed forward."""
 
-    def setup(self, demo_model, dtype=np.float64, question_lengths=(2, 2, 2)):
+    def setup(self, demo_model, dtype=np.float64, question_lengths=(2, 2, 2), negatives=(3, 3, 3)):
         model = demo_model.astype(dtype)
         params = init_pspt_params(model, soft_prompt_len=3, rank=1, alpha=16.0,
                                   seed=2).astype(dtype)
@@ -198,13 +198,20 @@ class TestBatchLoss:
         batch = [TrainingInstance(f"q{i}", [10 + i, 11, 12, 13, 14][:n], f"p{i}",
                                   [20 + i, 21, 22 + i][: 2 + i % 2], f"n{i}", [30 + 2 * i])
                  for i, n in enumerate(question_lengths)]
-        return model, params, expand_in_batch(batch, 3)
+        pairs = expand_in_batch(batch, max(negatives))
+        # keep the first negatives[i] pairs of question i
+        groups = [[p for p in pairs if p.question_id == inst.question_id][:n]
+                  for inst, n in zip(batch, negatives)]
+        return model, params, [p for group in groups for p in group]
 
     def test_equals_mean_of_per_pair_losses(self, demo_model):
         self.check_mean_of_per_pair_losses(*self.setup(demo_model))
 
     def test_mixed_question_lengths_equal_mean_of_per_pair_losses(self, demo_model):
         self.check_mean_of_per_pair_losses(*self.setup(demo_model, question_lengths=(2, 5, 3)))
+
+    def test_unequal_negative_counts_equal_mean_of_per_pair_losses(self, demo_model):
+        self.check_mean_of_per_pair_losses(*self.setup(demo_model, negatives=(1, 2, 3)))
 
     def check_mean_of_per_pair_losses(self, model, params, pairs):
         total, point, pair = _batch_loss(pairs, params, model, TrainConfig(pair_weight=0.5))
@@ -230,6 +237,9 @@ class TestBatchLoss:
 
     def test_mixed_question_lengths_gradient_matches_finite_differences(self, demo_model):
         self.check_gradient(*self.setup(demo_model, question_lengths=(4, 2, 3)))
+
+    def test_unequal_negative_counts_gradient_matches_finite_differences(self, demo_model):
+        self.check_gradient(*self.setup(demo_model, negatives=(1, 2, 3)))
 
     def check_gradient(self, model, params, pairs):
         config = TrainConfig(point_weight=0.7, pair_weight=1.3)
