@@ -11,7 +11,9 @@ scaled by alpha/rank, so a fresh adapter contributes exactly nothing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,21 +129,26 @@ class AssembledInput:
     target_positions: list[int]  # rows of `embeddings` that predict each target
     target_ids: list[int]
     lengths: list[int]  # rows per segment, in order; they sum to the row count
+    parents: list[int]  # the earlier segment each segment continues, or -1 for the prefix
 
 
 def assemble_segments(model: MicroLM, pairs, embed_passages,
                       prefix_rows: int = 0) -> AssembledInput:
-    """Pack one [passage rows; separator; question] segment per
-    (passage_ids, question_ids) pair, row-wise, each to follow a shared
-    prefix of `prefix_rows` rows.
+    """Pack the (passage_ids, question_ids) pairs row-wise into segments
+    that follow a shared prefix of `prefix_rows` rows.
 
-    `embed_passages` maps the kept ids of all passages, concatenated, to
-    one row per id, so the tensor work is done once for the whole list.
-    Passages are truncated from the right so that prefix and segment fit
-    max_seq_len; questions are never truncated.
+    A passage is truncated from the right so that prefix, passage,
+    separator and its pair's question fit max_seq_len; questions are never
+    truncated. A kept passage that one pair uses is one [passage;
+    separator; question] segment. A kept passage that several pairs use
+    is one [passage; separator] segment, and each of those pairs' questions
+    is a segment that continues it, so the passage is encoded once.
+    `embed_passages` maps the ids of the distinct kept passages,
+    concatenated, to one row per id, so the tensor work is done once for
+    the whole list.
     """
     sep_ids = model.vocab.encode(SEPARATOR_TEXT)
-    kept, tail_ids = [], []
+    kept = []
     for d, q in pairs:
         q = model.validate_ids(q)
         if not q:
@@ -151,20 +158,35 @@ def assemble_segments(model: MicroLM, pairs, embed_passages,
             raise SequenceLengthError(
                 f"prompt ({prefix_rows}) + separator ({len(sep_ids)}) + "
                 f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
-        kept.append((list(d)[:budget], q))
-        tail_ids += sep_ids + q
-    rows = embed_passages([t for d, _ in kept for t in d])
-    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tails
-    index, lengths, targets = [], [], []
-    first, tail = 0, rows.shape[0]  # this pair's first passage row and first tail row
+        kept.append((tuple(d)[:budget], q))
+    uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
+    first = dict(zip(uses, accumulate(map(len, uses), initial=0)))  # each one's first row
+    rows = embed_passages([t for d in uses for t in d])
+    tail_ids, index, lengths, parents, targets = [], [], [], [], []
+    shared = {}  # a shared passage's segment and the row of its last separator token
+
+    def segment(passage_rows, tail, parent):
+        at = rows.shape[0] + len(tail_ids)
+        index.extend([*passage_rows, *range(at, at + len(tail))])
+        tail_ids.extend(tail)
+        lengths.append(len(passage_rows) + len(tail))
+        parents.append(parent)
+
     for d, q in kept:
-        index.extend(range(first, first + len(d)))
-        index.extend(range(tail, tail + len(sep_ids) + len(q)))
-        first, tail = first + len(d), tail + len(sep_ids) + len(q)
-        lengths.append(len(d) + len(sep_ids) + len(q))
-        targets.extend(range(len(index) - len(q) - 1, len(index) - 1))
+        own = range(first[d], first[d] + len(d))
+        if uses[d] == 1:
+            segment(own, sep_ids + q, -1)
+            last = len(index) - len(q) - 1
+        else:
+            if d not in shared:
+                segment(own, sep_ids, -1)
+                shared[d] = (len(lengths) - 1, len(index) - 1)
+            parent, last = shared[d]
+            segment(range(0), q, parent)
+        targets += [last, *range(len(index) - len(q), len(index) - 1)]
+    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tails
     return AssembledInput(T.gather_rows(table, index), targets,
-                          [t for _, q in kept for t in q], lengths)
+                          [t for _, q in kept for t in q], lengths, parents)
 
 
 def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
@@ -176,7 +198,7 @@ def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
                             prefix_rows=n_pre)
     x = T.concat_rows([*prefix_blocks, seg.embeddings])
     return AssembledInput(x, [n_pre + r for r in seg.target_positions], seg.target_ids,
-                          [x.shape[0]])
+                          [x.shape[0]], [-1])
 
 
 def assemble_input(params: PsptParams, passage_ids, question_ids,

@@ -9,6 +9,10 @@ it parses the header, then the header's structure and that the last
 buffer ends where the digest begins. Files of versions 1 (no checksum)
 and 2 (a checksum of the buffers only) are rejected with a
 CheckpointError that names their version; re-create them.
+
+Every file the package writes (checkpoints, run files, training logs,
+datasets and eval reports) goes through `atomic_open`, so a reader sees
+the old file or the whole new one, never a part.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +34,29 @@ from .tensor import Tensor
 MAGIC = b"PSPT"
 VERSION = 3
 DIGEST_BYTES = 32
+
+
+@contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open a new file beside `path` for writing ("w" or "wb" mode). If the
+    `with` block ends without error, the new file replaces `path` (a
+    symlink's target, not the link) by os.replace; if it raises, the new
+    file is removed. An existing path that is not a regular file (a device
+    or a pipe) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as f:
+            yield f
+        return
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    f = open(tmp, mode.replace("w", "x"), **kwargs)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -52,7 +81,7 @@ def save_checkpoint_file(path, buffers: dict[str, np.ndarray], *,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     digest = hashlib.sha256()
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         for part in (MAGIC, struct.pack("<IQ", VERSION, len(header_bytes)), header_bytes, *arrays):
             digest.update(part)
             f.write(part)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .adapter import SEPARATOR_TEXT, check_params_fit, init_pspt_params, load_params, save_params
-from .checkpoint import load_model, save_model
+from .checkpoint import atomic_open, load_model, save_model
 from .errors import EXIT_OK, ConfigError, DataError, InputError, PsptError, report_error
 from .evaluation import (
     RetrievalRun,
@@ -89,14 +89,17 @@ DEFAULTS: dict = {
 def _fits(default, value) -> bool:
     """Whether a config value has its default's type. Numbers within float
     range pass for floats (JSON's NaN and Infinity and larger ints do not),
-    only bools pass for bools, a null default takes a string or null, and
-    list elements must fit the default's first element."""
+    ints within int64 range for ints, only bools pass for bools, a null
+    default takes a string or null, and list elements must fit the
+    default's first element."""
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(default, int):
+        return isinstance(value, int) and -2**63 <= value < 2**63
     if isinstance(default, list):
         return isinstance(value, list) and all(_fits(d, v) for d in default[:1] for v in value)
     return isinstance(value, type(default))
@@ -274,11 +277,11 @@ def cmd_eval(config: dict, args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
     text_path = out_dir / "report.txt"
-    with open(json_path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(json_path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
     table = report.format_table()
-    with open(text_path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(text_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(table + "\n")
     print(table)
     print(f"wrote {json_path} and {text_path}")

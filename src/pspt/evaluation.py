@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, InputError, ParseError
 from .model import tokenize_text
 
@@ -121,7 +122,7 @@ def load_dataset(path) -> QaDataset:
 
 
 def save_dataset(dataset: QaDataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for q in dataset.questions:
             rec = {
                 "question_id": q.question_id,
@@ -204,7 +205,7 @@ def read_run_file(path) -> RetrievalRun:
 
 def write_run_file(run: RetrievalRun, path) -> None:
     """Write TREC six-column lines, UTF-8, LF endings, queries sorted."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for qid in sorted(run.queries):
             for e in run.queries[qid]:
                 f.write(f"{qid} Q0 {e.passage_id} {e.rank} {e.score:.6f} {run.tag}\n")

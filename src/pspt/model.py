@@ -164,19 +164,22 @@ class MicroLM:
         return T.gather_rows(self.params["tok_emb"], ids)
 
     def forward_logprobs(self, x: Tensor, lengths=None, prefix: Tensor | None = None,
-                         rows=None) -> Tensor:
+                         rows=None, parents=None) -> Tensor:
         """Next-token log-distributions, causally masked, for packed segments.
 
         `x` stacks one or more segments row-wise; `lengths` gives their row
-        counts (default: all of `x` is one segment). Each segment continues
-        the optional shared `prefix`: its rows sit at positions P, P+1, ...
-        (P = prefix rows) and attend to the prefix and to their own earlier
-        rows, never to another segment. The prefix runs through each layer
-        once per call. Returns the distributions of the rows of `x` indexed
-        by `rows` (default: every row), shaped like `rows` plus a vocabulary
-        axis. Each leading index of a 2-D `rows` is projected to the
-        vocabulary separately, so a row's result does not depend on how
-        many other rows are asked for alongside it.
+        counts (default: all of `x` is one segment). Segment i continues
+        segment parents[i], an earlier one, or the optional shared `prefix`
+        if that is -1 (the default for every segment). A segment's rows
+        attend to its chain (the prefix, then each ancestor segment) and to
+        their own earlier rows, never to another segment, and their
+        positions count on from the end of that chain. The prefix and each
+        segment run through each layer once per call, however many
+        segments continue them. Returns the distributions of the rows of
+        `x` indexed by `rows` (default: every row), shaped like `rows` plus
+        a vocabulary axis. Each leading index of a 2-D `rows` is projected
+        to the vocabulary separately, so a row's result does not depend on
+        how many other rows are asked for alongside it.
 
         Accepts embeddings rather than ids so callers can splice in soft
         prompts and adapted passage vectors.
@@ -187,19 +190,29 @@ class MicroLM:
                 raise ShapeError(f"expected {name} of shape [L, {cfg.dim}], got {t.shape}")
         n_pre = 0 if prefix is None else prefix.shape[0]
         lengths = [x.shape[0]] if lengths is None else [int(n) for n in lengths]
-        if not lengths or min(lengths) < 1 or sum(lengths) != x.shape[0]:
-            raise ShapeError(f"segment lengths {lengths} do not partition {x.shape[0]} input rows")
-        if n_pre + max(lengths) > cfg.max_seq_len:
-            raise SequenceLengthError(f"sequence length {n_pre + max(lengths)} exceeds "
+        parents = [-1] * len(lengths) if parents is None else [int(j) for j in parents]
+        if (not lengths or min(lengths) < 1 or sum(lengths) != x.shape[0]
+                or len(parents) != len(lengths)):
+            raise ShapeError(f"segment lengths {lengths} (parents {parents}) do not partition "
+                             f"{x.shape[0]} input rows")
+        starts: list[int] = []  # each segment's first position: where its chain ends
+        for i, j in enumerate(parents):
+            if not -1 <= j < i:
+                raise ShapeError(f"segment {i}'s parent {j} is neither -1 nor an earlier segment")
+            starts.append(n_pre if j < 0 else starts[j] + lengths[j])
+        longest = max(s + n for s, n in zip(starts, lengths))
+        if longest > cfg.max_seq_len:
+            raise SequenceLengthError(f"sequence length {longest} exceeds "
                                       f"max_seq_len {cfg.max_seq_len}")
-        # row blocks: the prefix (attending to itself), then each segment
-        sizes = ([n_pre] if n_pre else []) + lengths
-        positions = list(range(n_pre)) + [n_pre + t for n in lengths for t in range(n)]
+        shift = int(n_pre > 0)  # row blocks: the prefix, if any, then each segment
+        sizes = [n_pre] * shift + lengths
+        blocks = [-1] * shift + [j + shift for j in parents]
+        positions = list(range(n_pre)) + [s + t for s, n in zip(starts, lengths) for t in range(n)]
         h = x if prefix is None else T.concat_rows([prefix, x])
         h = T.add(h, T.gather_rows(p["pos_emb"], positions))
         for i in range(cfg.n_layers):
             # sublayers are methods so that their temporaries die on return
-            h = T.add(h, self._attention(h, f"layers.{i}.", sizes, n_pre))
+            h = T.add(h, self._attention(h, f"layers.{i}.", sizes, blocks))
             h = T.add(h, self._feed_forward(h, f"layers.{i}."))
         if rows is not None or n_pre:
             picked = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
@@ -211,7 +224,7 @@ class MicroLM:
         return T.log_softmax_rows(logits)
 
 
-    def _attention(self, h: Tensor, pre: str, sizes: list[int], n_pre: int) -> Tensor:
+    def _attention(self, h: Tensor, pre: str, sizes: list[int], parents: list[int]) -> Tensor:
         """Multi-head self-attention with heads batched on a leading axis."""
         p = self.params
         n_rows, dim = h.shape
@@ -226,7 +239,7 @@ class MicroLM:
             t = T.matmul(a, p[pre + "attn." + name])
             return T.permute(T.reshape(t, (n_rows, heads, dh)), (1, 0, 2))
 
-        att = T.block_attention(project("wq"), project("wk"), project("wv"), sizes, n_pre, scale)
+        att = T.block_attention(project("wq"), project("wk"), project("wv"), sizes, parents, scale)
         merged = T.reshape(T.permute(att, (1, 0, 2)), (n_rows, dim))
         return T.matmul(merged, p[pre + "attn.wo"])
 

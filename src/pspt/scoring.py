@@ -11,8 +11,11 @@ mode ("sum" or "mean" over question tokens).
 
 Pairs are scored together: the prefix is shared by one packed forward
 and computed once, and each (passage, question) pair is a segment after
-it that sees the prefix but no other segment. A candidate list repeats
-one question; a training step or dev group packs many questions.
+it that sees the prefix but no other segment. A passage that several
+pairs of the forward use is computed once too, as a segment that their
+question segments continue. A candidate list repeats one question and
+no passage; a training step or dev group packs many questions, and a
+training step repeats each positive as the other questions' negative.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
     mask = np.arange(max(map(len, question_ids))) < np.array([[len(q)] for q in question_ids])
     picks = np.cumsum(mask).reshape(mask.shape) - 1
     rows = np.asarray(packed.target_positions)[picks]
-    logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, prefix, rows)
+    logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, prefix, rows,
+                                     packed.parents)
     flat = T.reshape(logprobs, (rows.size, model.config.vocab_size))
     picked = T.take_entries(flat, np.arange(rows.size).reshape(rows.shape),
                             np.asarray(packed.target_ids)[picks])

@@ -266,29 +266,34 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
-                    prefix: int = 0, scale: float = 1.0) -> Tensor:
-    """Causal softmax attention, softmax(q kᵀ · scale) v, inside consecutive
+                    parents: Sequence[int], scale: float = 1.0) -> Tensor:
+    """Causal softmax attention, softmax(q kᵀ · scale) v, inside a tree of
     row blocks.
 
     q, k and v are [..., R, d]: leading axes (attention heads) are batched
-    and the R rows on axis -2 are cut into blocks of `sizes`. A row attends
-    to its own block's rows up to itself. With prefix > 0 the first block
-    is a shared prefix of that many rows, and every later block also
-    attends to all of it.
+    and the R rows on axis -2 are cut into consecutive blocks of `sizes`.
+    Block j continues block parents[j], an earlier block, or no block if
+    it is -1. A row attends to every row of its block's ancestor chain and
+    to its own block's rows up to itself. A shared prefix is block 0 with
+    every other block's parent 0; a block shared by several continuations
+    is computed once, for all of them.
     """
     if not q.shape == k.shape == v.shape or q.ndim < 2:
         raise ShapeError(f"block_attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    if sum(sizes) != q.shape[-2] or min(sizes, default=0) < 1 or (prefix and sizes[0] != prefix):
-        raise ShapeError(f"block sizes {list(sizes)} (prefix {prefix}) do not partition "
-                         f"{q.shape[-2]} rows")
+    if (sum(sizes) != q.shape[-2] or min(sizes, default=0) < 1 or len(parents) != len(sizes)
+            or any(not -1 <= p < j for j, p in enumerate(parents))):
+        raise ShapeError(f"block sizes {list(sizes)} with parents {list(parents)} do not "
+                         f"partition {q.shape[-2]} rows into a tree")
     causal = np.triu(np.full((max(sizes), max(sizes)), -1e9, dtype=q.dtype), k=1)
     out = np.empty_like(q.data)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
     saved = []
+    chains: list[list[slice]] = []  # each block's key spans: its ancestors, root first, then itself
     lo = 0
-    for j, n in enumerate(sizes):
+    for n, parent in zip(sizes, parents):
         own = slice(lo, lo + n)
-        keys = [slice(0, prefix), own] if prefix and j else [own]
+        keys = (chains[parent] if parent >= 0 else []) + [own]
+        chains.append(keys)
         kc = np.concatenate([k.data[..., s, :] for s in keys], axis=-2)
         vc = np.concatenate([v.data[..., s, :] for s in keys], axis=-2)
         # scores become the attention weights in place: one [..., n, keys] array per block

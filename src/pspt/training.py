@@ -1,7 +1,8 @@
 """Adapter-parameter training with the combined pointwise + pairwise loss.
 
 Each step scores its whole in-batch-expanded batch in one packed forward,
-every segment carrying its own question, averages the per-pair loss,
+in which each distinct passage is encoded once however many of the
+batch's questions it serves, averages the per-pair loss,
 backpropagates into the soft prompt and adapter only, clips the global
 gradient norm (logged with whether it clipped), and applies Adam with
 linearly decaying learning rates. A dev pass is one packed forward per
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import SEPARATOR_TEXT, PsptParams
+from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
 from .model import MicroLM, Vocabulary
@@ -170,8 +172,9 @@ def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
 def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroLM,
                 config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
     """Mean pair-level loss from one packed forward: every question's
-    positive and all of its negatives are segments of one question_loglik
-    call, and one _terms call turns its scores into the loss terms."""
+    positive and all of its negatives are scored by one question_loglik
+    call, which encodes a passage that several questions use once, and
+    one _terms call turns its scores into the loss terms."""
     groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
         groups.setdefault((p.question_id, p.positive_id), []).append(p)
@@ -195,7 +198,7 @@ class TrainResult:
 
 
 def write_train_log(log: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         for record in log:
             f.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -5,7 +5,9 @@ import pytest
 
 from pspt import tensor as T
 from pspt.adapter import (
+    SEPARATOR_TEXT,
     assemble_input,
+    assemble_segments,
     init_adapter,
     init_pspt_params,
     init_soft_prompt,
@@ -154,6 +156,55 @@ class TestAssembleInput:
         q = [4] * demo_model.config.max_seq_len
         with pytest.raises(SequenceLengthError):
             assemble_input(params, [5], q, demo_model)
+
+
+class TestAssembleSegments:
+    """Pairs pack into one segment each, except that a kept passage used
+    by several pairs becomes one [passage; separator] segment that their
+    question segments continue."""
+
+    def test_distinct_passages_give_one_segment_per_pair(self, demo_model):
+        sep = demo_model.vocab.encode(SEPARATOR_TEXT)
+        q = [10, 11, 12]
+        passages = [[20, 21], [], [22, 23, 24, 25], [26]]
+        packed = assemble_segments(demo_model, [(d, q) for d in passages], demo_model.embed,
+                                   prefix_rows=5)
+        assert packed.lengths == [len(d) + len(sep) + len(q) for d in passages]
+        assert packed.parents == [-1] * len(passages)
+        flat = [t for d in passages for t in d + sep + q]
+        np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
+        ends = np.cumsum(packed.lengths)
+        assert packed.target_positions == [r for e in ends for r in range(e - 4, e - 1)]
+        assert packed.target_ids == q * len(passages)
+
+    def test_shared_passage_is_one_segment_its_questions_continue(self, demo_model):
+        sep = demo_model.vocab.encode(SEPARATOR_TEXT)
+        d, e = [20, 21, 22], [23]
+        pairs = [(d, [10, 11]), (e, [12]), (d, [13, 14, 15]), (d, [16])]
+        embedded = []
+
+        def embed(ids):
+            embedded.append(list(ids))
+            return demo_model.embed(ids)
+
+        packed = assemble_segments(demo_model, pairs, embed, prefix_rows=5)
+        assert embedded == [d + e]  # each distinct passage once
+        assert packed.lengths == [3 + len(sep), 2, 1 + len(sep) + 1, 3, 1]
+        assert packed.parents == [-1, 0, -1, 0, 0]
+        flat = d + sep + [10, 11] + e + sep + [12] + [13, 14, 15] + [16]
+        np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
+        last_sep = 3 + len(sep) - 1  # a question's first target is its passage's last separator row
+        assert packed.target_positions == [last_sep, 5, 9, last_sep, 11, 12, last_sep]
+        assert packed.target_ids == [10, 11, 12, 13, 14, 15, 16]
+
+    def test_passages_are_shared_only_if_equal_after_truncation(self, demo_model):
+        room = demo_model.config.max_seq_len - 5  # rows after a 5-row prefix
+        d = [4 + i % 40 for i in range(room)]
+        # questions of 1 and 2 tokens keep different prefixes of d; the two 2-token ones share
+        pairs = [(d, [10]), (d, [11, 12]), (d, [13, 14])]
+        packed = assemble_segments(demo_model, pairs, demo_model.embed, prefix_rows=5)
+        assert packed.parents == [-1, -1, 1, 1]
+        assert packed.lengths == [room, room - 2, 2, 2]  # every chain fills max_seq_len
 
 
 class TestThetaExclusivity:

@@ -46,6 +46,12 @@ FLOAT_KEYS = [f"{section}.{key}" for section, values in DEFAULTS.items()
               if isinstance(values, dict) for key, default in values.items()
               if isinstance(default, float)]
 
+# every config key whose default is an int or a list of ints, as "key" or "section.key"
+INT_KEYS = [key for key, default in DEFAULTS.items() if type(default) is int] + [
+    f"{section}.{key}" for section, values in DEFAULTS.items() if isinstance(values, dict)
+    for key, default in values.items()
+    if type(default) is int or (isinstance(default, list) and type(default[0]) is int)]
+
 
 class TestConfig:
     def test_defaults_when_no_file(self):
@@ -130,6 +136,23 @@ class TestConfig:
                      "--out", str(tmp_path / "t.ckpt"), "--log", str(tmp_path / "t.jsonl")]) == 1
         assert where in capsys.readouterr().err
         assert not (tmp_path / "t.ckpt").exists()
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1, 10**400],
+                             ids=["2**63", "-2**63-1", "10**400"])
+    @pytest.mark.parametrize("where", INT_KEYS)
+    def test_int_beyond_int64_is_exit_1(self, workspace, tmp_path, capsys, where, value):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["paths"]["output_dir"] = str(tmp_path / "out")
+        *section, key = where.split(".")
+        values = config.setdefault(section[0], {}) if section else config
+        default = (DEFAULTS[section[0]] if section else DEFAULTS)[key]
+        values[key] = [value] if isinstance(default, list) else value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))  # json writes every digit
+        # eval reads no key but k_list, so an accepted value cannot start a huge allocation
+        assert main(["--config", str(path), "eval", "--run", workspace["run"]]) == 1
+        assert where in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_wrong_type_is_exit_1(self, workspace, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -9,11 +9,13 @@ import pytest
 from pspt import tensor as T
 from pspt.adapter import init_pspt_params
 from pspt.checkpoint import (
+    atomic_open,
     load_checkpoint_file,
     load_model,
     save_checkpoint_file,
     save_model,
 )
+from pspt.evaluation import RetrievalRun, RunEntry, write_run_file
 from pspt.errors import (
     CheckpointError,
     ConfigError,
@@ -33,6 +35,7 @@ from pspt.model import (
     tokenize_text,
 )
 from pspt.scoring import question_loglik, score_pspt
+from pspt.training import write_train_log
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +241,38 @@ class TestPackedForward:
             tiny_model.forward_logprobs(long, prefix=T.Tensor(prefix))
 
 
+    # segments 3, 7, 1, 5 rows: 1 continues 0, 2 continues 1, 3 the prefix
+    PARENTS = [-1, 0, 1, -1]
+
+    def test_continued_segments_match_naive_reference_of_their_chains(self, tiny_model):
+        """A segment that continues others equals the end of the full
+        sequence of the prefix, its ancestors and itself (float64)."""
+        model = tiny_model.astype(np.float64)
+        prefix, segments = self.sequences(np.float64)
+        x = T.Tensor(np.concatenate(segments))
+        got = model.forward_logprobs(x, [len(s) for s in segments], T.Tensor(prefix),
+                                     parents=self.PARENTS).data
+        starts = np.cumsum([0] + [len(s) for s in segments])
+        for i, seg in enumerate(segments):
+            chain, a = [seg], self.PARENTS[i]
+            while a >= 0:
+                chain.insert(0, segments[a])
+                a = self.PARENTS[a]
+            want = reference_forward(model, np.concatenate([prefix, *chain]))[-len(seg):]
+            np.testing.assert_allclose(got[starts[i]:starts[i + 1]], want, atol=1e-10, rtol=0)
+
+    def test_bad_parents_and_over_long_chain_rejected(self, tiny_model):
+        prefix, segments = self.sequences(np.float32)
+        x = T.Tensor(np.concatenate(segments))
+        for parents in ([-1, 0, 1], [-1, 1, 0, 0], [-1, 0, 3, 0], [-2, -1, -1, -1]):
+            with pytest.raises(ShapeError):
+                tiny_model.forward_logprobs(x, [3, 7, 1, 5], T.Tensor(prefix), parents=parents)
+        # every segment fits alone after the 4 prefix rows; the chain 4 + 7 + 1 + 5 rows
+        # is longer than max_seq_len 16
+        with pytest.raises(SequenceLengthError, match="sequence length 17"):
+            tiny_model.forward_logprobs(x, [3, 7, 1, 5], T.Tensor(prefix), parents=[-1, -1, 1, 2])
+
+
 class TestPrecision:
     """float32 is the working precision end to end; float64 only on request."""
 
@@ -297,6 +332,54 @@ class TestPretraining:
     def test_empty_corpus_rejected(self, tiny_model):
         with pytest.raises(DataError):
             pretrain_micro_lm([], tiny_model.config, tiny_model.vocab, seed=0, steps=1)
+
+
+class TestAtomicWrites:
+    """A write that fails partway leaves the old file as it was and no
+    temporary file behind; one that succeeds replaces the file whole."""
+
+    OLD = b"old contents\n"
+
+    def failing_writes(self):
+        def direct(path):
+            with atomic_open(path, "wb") as f:
+                f.write(b"new")
+                raise RuntimeError("disk gone")
+
+        def run_file(path):  # the second entry's score cannot be formatted
+            entries = [RunEntry("d1", 1, 0.5), RunEntry("d2", 2, "high")]
+            write_run_file(RetrievalRun("t", {"q1": entries}), path)
+
+        def train_log(path):  # the second record cannot be serialized
+            write_train_log([{"step": 0}, {"step": object()}], path)
+
+        return {"direct": direct, "run_file": run_file, "train_log": train_log}
+
+    @pytest.mark.parametrize("site", ["direct", "run_file", "train_log"])
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, site):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+        with pytest.raises((RuntimeError, ValueError, TypeError)):
+            self.failing_writes()[site](path)
+        assert path.read_bytes() == self.OLD
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_successful_write_replaces_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes(self.OLD)
+        with atomic_open(path, "w", encoding="utf-8") as f:
+            f.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_symlink_keeps_pointing_at_its_replaced_target(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(self.OLD)
+        link.symlink_to(target.name)
+        with atomic_open(link, "wb") as f:
+            f.write(b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
 
 
 class TestCheckpoint:

@@ -189,16 +189,10 @@ class TestBatchedScoring:
             question_loglik([10], [20, 21], params, demo_model)
 
 
-class TestMultiQuestionPacking:
-    """One packed call over passages with different questions equals each
-    pair scored alone, within a relative bound: GEMM blocking may differ
-    with the padded question width."""
-
-    def pairs(self):
-        rng = T.make_rng(47)
-        passages = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (0, 3, 12, 5, 1, 20)]
-        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in (2, 5, 3, 4, 2, 5)]
-        return passages, questions
+class PairsEqualAlone:
+    """One packed call over the (passage, question) pairs of `pairs()`
+    equals each pair scored alone, within a relative bound: GEMM blocking
+    may differ with the padded question width."""
 
     def check(self, loglik, dtype, tol):
         passages, questions = self.pairs()
@@ -218,6 +212,16 @@ class TestMultiQuestionPacking:
         model = demo_model.astype(dtype)
         self.check(lambda q, ds: hard_prompt_loglik(q, ds, model, DEFAULT_UPR_PROMPT), dtype, tol)
 
+
+class TestMultiQuestionPacking(PairsEqualAlone):
+    """Passages under different questions."""
+
+    def pairs(self):
+        rng = T.make_rng(47)
+        passages = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (0, 3, 12, 5, 1, 20)]
+        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in (2, 5, 3, 4, 2, 5)]
+        return passages, questions
+
     def test_repeated_question_equals_one_question(self, demo_model, params):
         passages, _ = self.pairs()
         np.testing.assert_array_equal(
@@ -227,6 +231,48 @@ class TestMultiQuestionPacking:
     def test_question_count_must_match_passages(self, demo_model, params):
         with pytest.raises(ValueError):
             question_loglik([[10, 11], [12]], [[20], [21], [22]], params, demo_model)
+
+
+class TestSharedPassagePacking(PairsEqualAlone):
+    """Pairs that repeat passages under questions of different lengths: a
+    repeated passage is encoded once, as a segment that those questions
+    continue."""
+
+    def pairs(self):
+        rng = T.make_rng(49)
+        distinct = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (6, 0, 11, 3)]
+        # passage 0 under three questions, passages 1 and 2 under two each, passage 3 once
+        which, lengths = [0, 2, 0, 1, 3, 0, 2, 1], [2, 4, 5, 3, 2, 3, 1, 2]
+        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in lengths]
+        return [distinct[i] for i in which], questions
+
+    def test_each_distinct_passage_is_encoded_once(self, demo_model, params, monkeypatch):
+        passages, questions = self.pairs()
+        embedded, rows = [], []
+        embed, forward = scoring.adapter.passage_embedding, demo_model.forward_logprobs
+        monkeypatch.setattr(scoring.adapter, "passage_embedding",
+                            lambda ids, *a: embedded.append(list(ids)) or embed(ids, *a))
+        monkeypatch.setattr(demo_model, "forward_logprobs",
+                            lambda x, *a: rows.append(x.shape[0]) or forward(x, *a))
+        question_loglik(questions, passages, params, demo_model)
+        distinct = list(dict.fromkeys(map(tuple, passages)))
+        assert embedded == [[t for d in distinct for t in d]]
+        # one forward: each distinct passage and a separator once, then every question
+        sep = len(demo_model.vocab.encode(scoring.SEPARATOR_TEXT))
+        assert rows == [sum(len(d) + sep for d in distinct) + sum(map(len, questions))]
+
+
+class TestSharedPassageNearMaxSeqLen(PairsEqualAlone):
+    """A repeated passage too long to keep whole: questions of different
+    lengths keep different prefixes of it, which are not shared, and
+    questions of one length share the prefix they keep."""
+
+    def pairs(self):
+        rng = T.make_rng(53)
+        long = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (95, 90)]
+        which, lengths = [0, 0, 1, 0, 1, 0], [3, 7, 2, 3, 5, 1]
+        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in lengths]
+        return [long[i] for i in which], questions
 
 
 class TestRerank:

@@ -348,24 +348,57 @@ class TestBatchedOpsGradients:
 
     @pytest.mark.parametrize("sizes, prefix", [([3, 2, 4], 3), ([2, 3], 0), ([5], 0)])
     def test_block_attention(self, sizes, prefix):
+        # a prefix of `prefix` rows is block 0, and every later block continues it
+        parents = [-1] + [0 if prefix else -1] * (len(sizes) - 1)
         shape = (2, sum(sizes), 3)
 
         def build(t):
-            return weighted(T.block_attention(t[0], t[1], t[2], sizes, prefix, scale=0.6))
+            return weighted(T.block_attention(t[0], t[1], t[2], sizes, parents, scale=0.6))
 
         check_gradients(build, self.arrays(shape, shape, shape), tol=1e-5)
 
     def test_block_attention_matches_masked_full_attention(self):
         """Each segment's output equals plain causal attention over prefix + segment."""
-        sizes, prefix = [3, 2, 4], 3
-        q, k, v = self.arrays((2, 9, 3), (2, 9, 3), (2, 9, 3))
-        got = T.block_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), sizes, prefix, 0.6).data
-        starts = [0, 3, 5]
-        for lo, n in zip(starts, sizes):
-            rows = list(range(lo, lo + n)) if lo == 0 else list(range(prefix)) + list(range(lo, lo + n))
+        self.check_masked_full_attention([3, 2, 4], [-1, 0, 0])
+
+    # a prefix; a passage that continues it; two questions of unequal length
+    # that continue the passage; a segment that continues only the prefix
+    TREE = ([3, 4, 2, 3, 2], [-1, 0, 1, 1, 0])
+
+    def test_block_attention_tree(self):
+        sizes, parents = self.TREE
+        shape = (2, sum(sizes), 3)
+
+        def build(t):
+            return weighted(T.block_attention(t[0], t[1], t[2], sizes, parents, scale=0.6))
+
+        check_gradients(build, self.arrays(shape, shape, shape), tol=1e-5)
+
+    def test_block_attention_tree_matches_masked_full_attention(self):
+        """Each block's output equals plain causal attention over its
+        ancestors' rows, root first, and its own."""
+        self.check_masked_full_attention(*self.TREE)
+
+    def check_masked_full_attention(self, sizes, parents):
+        q, k, v = self.arrays(*[(2, sum(sizes), 3)] * 3)
+        got = T.block_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), sizes, parents, 0.6).data
+        starts = np.cumsum([0, *sizes])
+        for j, n in enumerate(sizes):
+            rows, a = [], j
+            while a >= 0:  # the ancestor chain, root first, then block j
+                rows = list(range(starts[a], starts[a] + sizes[a])) + rows
+                a = parents[a]
             qs, ks, vs = q[:, rows], k[:, rows], v[:, rows]
             scores = qs @ ks.transpose(0, 2, 1) * 0.6
             scores[:, np.triu_indices(len(rows), 1)[0], np.triu_indices(len(rows), 1)[1]] = -np.inf
             w = np.exp(scores - scores.max(axis=-1, keepdims=True))
             w /= w.sum(axis=-1, keepdims=True)
+            lo = starts[j]
             np.testing.assert_allclose(got[:, lo:lo + n], (w @ vs)[:, len(rows) - n:], atol=1e-12)
+
+    @pytest.mark.parametrize("parents", [[-1, 0], [-1, 1, 0], [-1, -2, 0], [0, -1, 0]],
+                             ids=["too-few", "self", "below-minus-one", "later-block"])
+    def test_block_attention_rejects_parents_that_are_not_earlier_blocks(self, parents):
+        t = T.Tensor(np.zeros((1, 6, 2)))
+        with pytest.raises(ShapeError, match="tree"):
+            T.block_attention(t, t, t, [2, 2, 2], parents)

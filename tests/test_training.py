@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pspt import tensor as T
-from pspt.adapter import init_pspt_params
+from pspt.adapter import init_pspt_params, passage_embedding
 from pspt.errors import ConfigError, ContractError, DataError, NumericError
 from pspt.evaluation import Passage, QaDataset, Question
 from pspt.model import MicroLM, ModelConfig, Vocabulary
@@ -227,10 +227,16 @@ class TestBatchLoss:
         model, params, pairs = self.setup(demo_model, question_lengths=(2, 5, 3))
         calls = []
         forward = model.forward_logprobs
-        model.forward_logprobs = lambda *a, **k: calls.append(a[1]) or forward(*a, **k)
+        model.forward_logprobs = lambda *a, **k: calls.append(a[0].data) or forward(*a, **k)
         _batch_loss(pairs, params, model, TrainConfig())
-        # one segment per question's positive and per pair's negative
-        assert len(calls) == 1 and len(calls[0]) == 3 + len(pairs)
+        assert len(calls) == 1
+        # each distinct passage's adapted rows appear once in that forward, though
+        # in-batch negatives repeat every positive under other questions
+        x = calls[0]
+        for d in {tuple(d) for p in pairs for d in (p.positive, p.negative)}:
+            rows = passage_embedding(list(d), params, model).data
+            hits = [i for i in range(len(x) - len(d) + 1) if np.array_equal(x[i:i + len(d)], rows)]
+            assert len(hits) == 1, d
 
     def test_gradient_matches_finite_differences(self, demo_model):
         self.check_gradient(*self.setup(demo_model))
