@@ -20,11 +20,13 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
 from .errors import CheckpointError, ConfigError, ContractError, SequenceLengthError
-from .model import MicroLM
+from .model import MicroLM, tokenize_text
 from .tensor import Tensor
 
 DEFAULT_HARD_PROMPT = "please generate question for this passage"
 SEPARATOR_TEXT = "question :"
+# encode() maps each token to one id, so this is the separator's row count
+SEPARATOR_ROWS = len(tokenize_text(SEPARATOR_TEXT))
 
 
 @dataclass
@@ -129,13 +131,13 @@ class AssembledInput:
     target_positions: list[int]  # rows of `embeddings` that predict each target
     target_ids: list[int]
     lengths: list[int]  # rows per segment, in order; they sum to the row count
-    parents: list[int]  # the earlier segment each segment continues, or -1 for the prefix
+    parents: list[int]  # the earlier segment each segment continues, or -1 for a root
 
 
-def assemble_segments(model: MicroLM, pairs, embed_passages,
-                      prefix_rows: int = 0) -> AssembledInput:
-    """Pack the (passage_ids, question_ids) pairs row-wise into segments
-    that follow a shared prefix of `prefix_rows` rows.
+def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> AssembledInput:
+    """Pack `prefix` and the (passage_ids, question_ids) pairs row-wise
+    into segments: the prefix is segment 0, the root that every passage
+    segment continues.
 
     A passage is truncated from the right so that prefix, passage,
     separator and its pair's question fit max_seq_len; questions are never
@@ -147,26 +149,28 @@ def assemble_segments(model: MicroLM, pairs, embed_passages,
     concatenated, to one row per id, so the tensor work is done once for
     the whole list.
     """
+    n_pre = prefix.shape[0]
     sep_ids = model.vocab.encode(SEPARATOR_TEXT)
     kept = []
     for d, q in pairs:
         q = model.validate_ids(q)
         if not q:
             raise ContractError("question must contain at least one token")
-        budget = model.config.max_seq_len - prefix_rows - len(sep_ids) - len(q)
+        budget = model.config.max_seq_len - n_pre - len(sep_ids) - len(q)
         if budget < 0:
             raise SequenceLengthError(
-                f"prompt ({prefix_rows}) + separator ({len(sep_ids)}) + "
+                f"prompt ({n_pre}) + separator ({len(sep_ids)}) + "
                 f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
         kept.append((tuple(d)[:budget], q))
     uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
-    first = dict(zip(uses, accumulate(map(len, uses), initial=0)))  # each one's first row
+    first = dict(zip(uses, accumulate(map(len, uses), initial=n_pre)))  # first rows in the table
     rows = embed_passages([t for d in uses for t in d])
-    tail_ids, index, lengths, parents, targets = [], [], [], [], []
+    index, lengths, parents = list(range(n_pre)), [n_pre], [-1]
+    tail_ids, targets = [], []
     shared = {}  # a shared passage's segment and the row of its last separator token
 
     def segment(passage_rows, tail, parent):
-        at = rows.shape[0] + len(tail_ids)
+        at = n_pre + rows.shape[0] + len(tail_ids)
         index.extend([*passage_rows, *range(at, at + len(tail))])
         tail_ids.extend(tail)
         lengths.append(len(passage_rows) + len(tail))
@@ -175,30 +179,26 @@ def assemble_segments(model: MicroLM, pairs, embed_passages,
     for d, q in kept:
         own = range(first[d], first[d] + len(d))
         if uses[d] == 1:
-            segment(own, sep_ids + q, -1)
+            segment(own, sep_ids + q, 0)
             last = len(index) - len(q) - 1
         else:
             if d not in shared:
-                segment(own, sep_ids, -1)
+                segment(own, sep_ids, 0)
                 shared[d] = (len(lengths) - 1, len(index) - 1)
             parent, last = shared[d]
             segment(range(0), q, parent)
         targets += [last, *range(len(index) - len(q), len(index) - 1)]
-    table = T.concat_rows([rows, model.embed(tail_ids)])  # passage rows, then the tails
+    table = T.concat_rows([prefix, rows, model.embed(tail_ids)])  # prefix, passages, tails
     return AssembledInput(T.gather_rows(table, index), targets,
                           [t for _, q in kept for t in q], lengths, parents)
 
 
 def assemble_blocks(model: MicroLM, prefix_blocks, passage_ids, question_ids,
                     embed_passages) -> AssembledInput:
-    """One full sequence: the prefix blocks, then the passage's segment from
-    assemble_segments; positions count from the start of the prefix."""
-    n_pre = sum(b.shape[0] for b in prefix_blocks)
-    seg = assemble_segments(model, [(passage_ids, question_ids)], embed_passages,
-                            prefix_rows=n_pre)
-    x = T.concat_rows([*prefix_blocks, seg.embeddings])
-    return AssembledInput(x, [n_pre + r for r in seg.target_positions], seg.target_ids,
-                          [x.shape[0]], [-1])
+    """One full sequence: the prefix blocks as one segment, then the
+    passage's segment from assemble_segments."""
+    return assemble_segments(model, [(passage_ids, question_ids)], embed_passages,
+                             T.concat_rows(prefix_blocks))
 
 
 def assemble_input(params: PsptParams, passage_ids, question_ids,

@@ -171,16 +171,28 @@ def _out_path(config: dict, key: str, override: str | None) -> Path:
     return out_dir / config["paths"][key]
 
 
+def _pretrain_options(config: dict, steps: int) -> dict:
+    """continue_pretraining's steps, batch_size and lr, checked together
+    with the packing length before anything is read or written."""
+    m = {**config["model"], "pretrain_steps": steps}
+    for key, least in (("pretrain_steps", 0), ("pretrain_batch_size", 1), ("pretrain_pack_len", 1)):
+        if m[key] < least:
+            raise ConfigError(f"config key 'model.{key}' must be at least {least}, got {m[key]}")
+    if m["pretrain_lr"] <= 0:
+        raise ConfigError(f"config key 'model.pretrain_lr' must be positive, "
+                          f"got {m['pretrain_lr']}")
+    return {"steps": steps, "batch_size": m["pretrain_batch_size"], "lr": m["pretrain_lr"]}
+
+
 def cmd_init_model(config: dict, args) -> int:
-    dataset = _require_dataset(config, args)
     m = config["model"]
+    options = _pretrain_options(config, m["pretrain_steps"])
+    dataset = _require_dataset(config, args)
     vocab = Vocabulary.from_texts(dataset.texts(), cap=m["vocab_cap"])
     model_config = ModelConfig(vocab_size=len(vocab), **{name: m[name] for name in _ARCHITECTURE})
     if m["pretrain_steps"] > 0:
         corpus = _pretraining_corpus(dataset, vocab, config)
-        model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"],
-                                  steps=m["pretrain_steps"],
-                                  batch_size=m["pretrain_batch_size"], lr=m["pretrain_lr"])
+        model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"], **options)
     else:
         model = MicroLM.init(model_config, vocab, seed=config["seed"])
     # the adapter that `train` builds; one that cannot fit fails before the model is saved
@@ -196,15 +208,14 @@ def cmd_init_model(config: dict, args) -> int:
 
 
 def cmd_pretrain(config: dict, args) -> int:
+    options = _pretrain_options(config, config["model"]["pretrain_steps"]
+                                if args.steps is None else args.steps)
     dataset = _require_dataset(config, args)
     model = load_model(args.checkpoint or _out_path(config, "model_checkpoint", None))
     corpus = _pretraining_corpus(dataset, model.vocab, config)
-    steps = args.steps if args.steps is not None else config["model"]["pretrain_steps"]
-    continue_pretraining(model, corpus, seed=config["seed"], steps=steps,
-                         batch_size=config["model"]["pretrain_batch_size"],
-                         lr=config["model"]["pretrain_lr"])
+    continue_pretraining(model, corpus, seed=config["seed"], **options)
     out = _out_path(config, "model_checkpoint", args.out)
-    save_model(model, out, meta={"seed": config["seed"], "continued_steps": steps})
+    save_model(model, out, meta={"seed": config["seed"], "continued_steps": options["steps"]})
     print(f"wrote model checkpoint to {out}")
     return EXIT_OK
 

@@ -26,6 +26,7 @@ from .tensor import Tensor
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
+MAX_PARAMETERS = 2**31  # 8 GiB of float32
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
 
@@ -84,6 +85,16 @@ class ModelConfig:
             raise ConfigError(f"dim {self.dim} not divisible by n_heads {self.n_heads}")
         if self.vocab_size < len(RESERVED_TOKENS):
             raise ConfigError(f"vocab_size must be at least {len(RESERVED_TOKENS)}")
+        if self.param_count > MAX_PARAMETERS:
+            raise ConfigError(f"model of {self.param_count} parameters exceeds the limit of "
+                              f"{MAX_PARAMETERS}")
+
+    @property
+    def param_count(self) -> int:
+        """The sizes of param_shapes summed, in time independent of n_layers."""
+        dim, ffn = self.dim, self.ffn_mult * self.dim
+        per_layer = 4 * dim * dim + 2 * dim * ffn + 5 * dim + ffn
+        return (self.vocab_size + self.max_seq_len + 2) * dim + self.n_layers * per_layer
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -163,32 +174,30 @@ class MicroLM:
             return Tensor(np.zeros((0, self.config.dim), dtype=self.dtype))
         return T.gather_rows(self.params["tok_emb"], ids)
 
-    def forward_logprobs(self, x: Tensor, lengths=None, prefix: Tensor | None = None,
-                         rows=None, parents=None) -> Tensor:
+    def forward_logprobs(self, x: Tensor, lengths=None, parents=None, rows=None) -> Tensor:
         """Next-token log-distributions, causally masked, for packed segments.
 
         `x` stacks one or more segments row-wise; `lengths` gives their row
         counts (default: all of `x` is one segment). Segment i continues
-        segment parents[i], an earlier one, or the optional shared `prefix`
-        if that is -1 (the default for every segment). A segment's rows
-        attend to its chain (the prefix, then each ancestor segment) and to
-        their own earlier rows, never to another segment, and their
-        positions count on from the end of that chain. The prefix and each
-        segment run through each layer once per call, however many
-        segments continue them. Returns the distributions of the rows of
-        `x` indexed by `rows` (default: every row), shaped like `rows` plus
-        a vocabulary axis. Each leading index of a 2-D `rows` is projected
-        to the vocabulary separately, so a row's result does not depend on
-        how many other rows are asked for alongside it.
+        segment parents[i], an earlier one, or is a root if that is -1 (the
+        default for every segment); a shared prompt is a root that the
+        segments after it continue. A segment's rows attend to its chain
+        (each ancestor, root first) and to their own earlier rows, never to
+        another segment, and their positions count on from the end of that
+        chain, from 0 for a root. Each segment runs through each layer once
+        per call, however many segments continue it. Returns the
+        distributions of the rows of `x` indexed by `rows` (default: every
+        row), shaped like `rows` plus a vocabulary axis. Each leading index
+        of a 2-D `rows` is projected to the vocabulary separately, so a
+        row's result does not depend on how many other rows are asked for
+        alongside it.
 
         Accepts embeddings rather than ids so callers can splice in soft
         prompts and adapted passage vectors.
         """
         cfg, p = self.config, self.params
-        for name, t in (("input", x), ("prefix", prefix)):
-            if t is not None and (t.ndim != 2 or t.shape[1] != cfg.dim):
-                raise ShapeError(f"expected {name} of shape [L, {cfg.dim}], got {t.shape}")
-        n_pre = 0 if prefix is None else prefix.shape[0]
+        if x.ndim != 2 or x.shape[1] != cfg.dim:
+            raise ShapeError(f"expected input of shape [L, {cfg.dim}], got {x.shape}")
         lengths = [x.shape[0]] if lengths is None else [int(n) for n in lengths]
         parents = [-1] * len(lengths) if parents is None else [int(j) for j in parents]
         if (not lengths or min(lengths) < 1 or sum(lengths) != x.shape[0]
@@ -199,30 +208,25 @@ class MicroLM:
         for i, j in enumerate(parents):
             if not -1 <= j < i:
                 raise ShapeError(f"segment {i}'s parent {j} is neither -1 nor an earlier segment")
-            starts.append(n_pre if j < 0 else starts[j] + lengths[j])
+            starts.append(0 if j < 0 else starts[j] + lengths[j])
         longest = max(s + n for s, n in zip(starts, lengths))
         if longest > cfg.max_seq_len:
             raise SequenceLengthError(f"sequence length {longest} exceeds "
                                       f"max_seq_len {cfg.max_seq_len}")
-        shift = int(n_pre > 0)  # row blocks: the prefix, if any, then each segment
-        sizes = [n_pre] * shift + lengths
-        blocks = [-1] * shift + [j + shift for j in parents]
-        positions = list(range(n_pre)) + [s + t for s, n in zip(starts, lengths) for t in range(n)]
-        h = x if prefix is None else T.concat_rows([prefix, x])
-        h = T.add(h, T.gather_rows(p["pos_emb"], positions))
+        positions = [s + t for s, n in zip(starts, lengths) for t in range(n)]
+        h = T.add(x, T.gather_rows(p["pos_emb"], positions))
         for i in range(cfg.n_layers):
             # sublayers are methods so that their temporaries die on return
-            h = T.add(h, self._attention(h, f"layers.{i}.", sizes, blocks))
+            h = T.add(h, self._attention(h, f"layers.{i}.", lengths, parents))
             h = T.add(h, self._feed_forward(h, f"layers.{i}."))
-        if rows is not None or n_pre:
-            picked = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.int64)
-            h = T.gather_rows(h, n_pre + picked.reshape(-1))
+        if rows is not None:
+            picked = np.asarray(rows, dtype=np.int64)
+            h = T.gather_rows(h, picked.reshape(-1))
             if picked.ndim != 1:
                 h = T.reshape(h, picked.shape + (cfg.dim,))
         hf = T.layer_norm(h, p["ln_f.gamma"], p["ln_f.beta"])
         logits = T.matmul(hf, T.transpose(p["tok_emb"]))
         return T.log_softmax_rows(logits)
-
 
     def _attention(self, h: Tensor, pre: str, sizes: list[int], parents: list[int]) -> Tensor:
         """Multi-head self-attention with heads batched on a leading axis."""

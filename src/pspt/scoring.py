@@ -9,13 +9,14 @@ prompt text ends with one in-context example passage and question.
 A score is the summed log-likelihood; `ListScorer` applies the score
 mode ("sum" or "mean" over question tokens).
 
-Pairs are scored together: the prefix is shared by one packed forward
-and computed once, and each (passage, question) pair is a segment after
-it that sees the prefix but no other segment. A passage that several
-pairs of the forward use is computed once too, as a segment that their
-question segments continue. A candidate list repeats one question and
-no passage; a training step or dev group packs many questions, and a
-training step repeats each positive as the other questions' negative.
+Pairs are scored together, one question per passage: the prefix is the
+root segment of one packed forward, computed once, and each (passage,
+question) pair is a segment that continues it, seeing the prefix but no
+other pair. A passage that several pairs of the forward use is computed
+once too, as a segment that their question segments continue. A
+candidate list repeats one question and no passage; a training step or
+dev group packs many questions, and a training step repeats each
+positive as the other questions' negative.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import adapter
 from . import tensor as T
-from .adapter import SEPARATOR_TEXT, PsptParams, assemble_segments
+from .adapter import SEPARATOR_ROWS, PsptParams, assemble_segments
 # not used here; perfbench's tracer wraps them under these names
 from .adapter import assemble_blocks, assemble_input  # noqa: F401
 from .errors import ConfigError, ContractError, InputError
@@ -56,25 +57,22 @@ class Candidate:
 
 def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
                    embed_passages) -> Tensor:
-    """Question log-likelihood after `prefix` and each passage, one entry per
-    passage, from one packed forward in which the prefix is computed once.
-    `question_ids` is one question for every passage, or a list of one
-    question per passage. `embed_passages` maps passage ids to one input
+    """Log-likelihood of each passage's question after `prefix` and the
+    passage, one entry per passage, from one packed forward in which the
+    prefix is the root segment, computed once. `question_ids` holds one
+    question per passage; `embed_passages` maps passage ids to one input
     row per id."""
     if not passages:
         raise ContractError("scoring needs at least one passage")
     if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
         raise ContractError("passages must be a list of token-id lists")
-    if not (len(question_ids) and isinstance(question_ids[0], (list, tuple, np.ndarray))):
-        question_ids = [question_ids] * len(passages)  # one question for every passage
     packed = assemble_segments(model, list(zip(passages, question_ids, strict=True)),
-                               embed_passages, prefix_rows=prefix.shape[0])
+                               embed_passages, prefix)
     # each passage's targets, padded with its last one to the longest question and masked out
     mask = np.arange(max(map(len, question_ids))) < np.array([[len(q)] for q in question_ids])
     picks = np.cumsum(mask).reshape(mask.shape) - 1
     rows = np.asarray(packed.target_positions)[picks]
-    logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, prefix, rows,
-                                     packed.parents)
+    logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, packed.parents, rows)
     flat = T.reshape(logprobs, (rows.size, model.config.vocab_size))
     picked = T.take_entries(flat, np.arange(rows.size).reshape(rows.shape),
                             np.asarray(packed.target_ids)[picks])
@@ -82,17 +80,17 @@ def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
 
 
 def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM) -> Tensor:
-    """Differentiable sum of question-token log-probs after the soft prompt
-    and each adapted passage, one entry per passage; `question_ids` is one
-    question or one per passage."""
+    """Differentiable sum of each passage's question-token log-probs after
+    the soft prompt and the adapted passage, one entry per passage;
+    `question_ids` holds one question per passage."""
     # passage_embedding is looked up on its module per call, where perfbench's tracer wraps it
     return _packed_loglik(model, params.soft_prompt.e1, question_ids, passages,
                           lambda ids: adapter.passage_embedding(ids, params, model))
 
 
 def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str) -> Tensor:
-    """Log-likelihood after a hard prompt and each frozen passage, one entry
-    per passage."""
+    """Log-likelihood of each passage's question after a hard prompt and
+    the frozen passage, one entry per passage."""
     prefix_ids = model.vocab.encode(prompt_text)
     if not prefix_ids:
         raise ConfigError(f"prompt text {prompt_text!r} tokenizes to nothing")
@@ -100,12 +98,12 @@ def hard_prompt_loglik(question_ids, passages, model: MicroLM, prompt_text: str)
 
 
 def score_pspt(question_ids, passage_ids, params: PsptParams, model: MicroLM) -> float:
-    return float(question_loglik(question_ids, [passage_ids], params, model).data[0])
+    return float(question_loglik([question_ids], [passage_ids], params, model).data[0])
 
 
 def score_upr(question_ids, passage_ids, model: MicroLM,
               prompt_text: str = DEFAULT_UPR_PROMPT) -> float:
-    return float(hard_prompt_loglik(question_ids, [passage_ids], model, prompt_text).data[0])
+    return float(hard_prompt_loglik([question_ids], [passage_ids], model, prompt_text).data[0])
 
 
 def _groups(items: list, rows: list[int], max_rows: int) -> list[list]:
@@ -131,15 +129,14 @@ class ListScorer:
         if mode not in ("sum", "mean"):
             raise ConfigError(f"score mode must be 'sum' or 'mean', got {mode!r}")
         self.model, self.mode, self._loglik = model, mode, loglik
-        self._separator_rows = len(model.vocab.encode(SEPARATOR_TEXT))
 
     def score_many(self, question_text: str, passage_texts: list[str]) -> list[float]:
         q = self.model.vocab.encode(question_text)
         passages = [self.model.vocab.encode(t) for t in passage_texts]
-        rows = [len(d) + self._separator_rows + len(q) for d in passages]
+        rows = [len(d) + SEPARATOR_ROWS + len(q) for d in passages]
         div = len(q) if self.mode == "mean" else 1
         return [float(s) / div for group in _groups(passages, rows, MAX_PACKED_ROWS)
-                for s in self._loglik(q, group).data]
+                for s in self._loglik([q] * len(group), group).data]
 
     def __call__(self, question_text: str, passage_text: str) -> float:
         return self.score_many(question_text, [passage_text])[0]

@@ -157,6 +157,8 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=10, help="BM25 run depth")
     args = parser.parse_args(argv)
     try:
+        if args.k < 1:
+            raise ConfigError(f"--k must be at least 1, got {args.k}")
         dataset = build_synthetic_dataset(SynthConfig(n_questions=args.questions, seed=args.seed))
         save_dataset(dataset, args.out)
         print(f"wrote {len(dataset)} questions to {args.out}")

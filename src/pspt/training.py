@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import SEPARATOR_TEXT, PsptParams
+from .adapter import SEPARATOR_ROWS, PsptParams
 from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
@@ -155,17 +155,19 @@ def _terms(scores: Tensor, sizes: list[int]) -> tuple[Tensor, Tensor]:
 
 def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor:
     """Negative question log-likelihood given the positive passage."""
-    return T.neg(T.tsum(question_loglik(question, [positive], params, model)))
+    return T.neg(T.tsum(question_loglik([question], [positive], params, model)))
 
 
 def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM) -> Tensor:
     """Hinge on the score margin: max(0, score(negative) - score(positive))."""
-    return T.tsum(_terms(question_loglik(question, [positive, negative], params, model), [1])[1])
+    return T.tsum(_terms(question_loglik([question] * 2, [positive, negative], params, model),
+                         [1])[1])
 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
                point_weight: float = 1.0, pair_weight: float = 1.0) -> Tensor:
-    point, pair = _terms(question_loglik(question, [positive, negative], params, model), [1])
+    point, pair = _terms(question_loglik([question] * 2, [positive, negative], params, model),
+                         [1])
     return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
@@ -207,8 +209,8 @@ def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: Micr
               config: TrainConfig) -> float:
     """Mean loss_total over the instances, from one packed forward per
     MAX_PACKED_ROWS rows of their (positive, negative) segments."""
-    sep = len(model.vocab.encode(SEPARATOR_TEXT))
-    rows = [len(i.positive) + len(i.negative) + 2 * (sep + len(i.question)) for i in instances]
+    rows = [len(i.positive) + len(i.negative) + 2 * (SEPARATOR_ROWS + len(i.question))
+            for i in instances]
     return sum(_batch_loss(group, params, model, config)[0].item() * len(group)
                for group in _groups(instances, rows, MAX_PACKED_ROWS)) / len(instances)
 

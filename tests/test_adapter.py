@@ -159,21 +159,24 @@ class TestAssembleInput:
 
 
 class TestAssembleSegments:
-    """Pairs pack into one segment each, except that a kept passage used
-    by several pairs becomes one [passage; separator] segment that their
-    question segments continue."""
+    """The prefix is root segment 0 and pairs pack into one segment each
+    that continues it, except that a kept passage used by several pairs
+    becomes one [passage; separator] segment that their question segments
+    continue."""
+
+    PREFIX_IDS = [30, 31, 32, 33, 34]  # a 5-row prefix
 
     def test_distinct_passages_give_one_segment_per_pair(self, demo_model):
         sep = demo_model.vocab.encode(SEPARATOR_TEXT)
         q = [10, 11, 12]
         passages = [[20, 21], [], [22, 23, 24, 25], [26]]
         packed = assemble_segments(demo_model, [(d, q) for d in passages], demo_model.embed,
-                                   prefix_rows=5)
-        assert packed.lengths == [len(d) + len(sep) + len(q) for d in passages]
-        assert packed.parents == [-1] * len(passages)
-        flat = [t for d in passages for t in d + sep + q]
+                                   demo_model.embed(self.PREFIX_IDS))
+        assert packed.lengths == [5] + [len(d) + len(sep) + len(q) for d in passages]
+        assert packed.parents == [-1] + [0] * len(passages)
+        flat = self.PREFIX_IDS + [t for d in passages for t in d + sep + q]
         np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
-        ends = np.cumsum(packed.lengths)
+        ends = np.cumsum(packed.lengths)[1:]
         assert packed.target_positions == [r for e in ends for r in range(e - 4, e - 1)]
         assert packed.target_ids == q * len(passages)
 
@@ -187,14 +190,15 @@ class TestAssembleSegments:
             embedded.append(list(ids))
             return demo_model.embed(ids)
 
-        packed = assemble_segments(demo_model, pairs, embed, prefix_rows=5)
+        packed = assemble_segments(demo_model, pairs, embed, demo_model.embed(self.PREFIX_IDS))
         assert embedded == [d + e]  # each distinct passage once
-        assert packed.lengths == [3 + len(sep), 2, 1 + len(sep) + 1, 3, 1]
-        assert packed.parents == [-1, 0, -1, 0, 0]
-        flat = d + sep + [10, 11] + e + sep + [12] + [13, 14, 15] + [16]
+        assert packed.lengths == [5, 3 + len(sep), 2, 1 + len(sep) + 1, 3, 1]
+        assert packed.parents == [-1, 0, 1, 0, 1, 1]
+        flat = self.PREFIX_IDS + d + sep + [10, 11] + e + sep + [12] + [13, 14, 15] + [16]
         np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
-        last_sep = 3 + len(sep) - 1  # a question's first target is its passage's last separator row
-        assert packed.target_positions == [last_sep, 5, 9, last_sep, 11, 12, last_sep]
+        # a question's first target is its passage's last separator row
+        last_sep = 5 + 3 + len(sep) - 1
+        assert packed.target_positions == [last_sep, 10, 14, last_sep, 16, 17, last_sep]
         assert packed.target_ids == [10, 11, 12, 13, 14, 15, 16]
 
     def test_passages_are_shared_only_if_equal_after_truncation(self, demo_model):
@@ -202,9 +206,10 @@ class TestAssembleSegments:
         d = [4 + i % 40 for i in range(room)]
         # questions of 1 and 2 tokens keep different prefixes of d; the two 2-token ones share
         pairs = [(d, [10]), (d, [11, 12]), (d, [13, 14])]
-        packed = assemble_segments(demo_model, pairs, demo_model.embed, prefix_rows=5)
-        assert packed.parents == [-1, -1, 1, 1]
-        assert packed.lengths == [room, room - 2, 2, 2]  # every chain fills max_seq_len
+        packed = assemble_segments(demo_model, pairs, demo_model.embed,
+                                   demo_model.embed(self.PREFIX_IDS))
+        assert packed.parents == [-1, 0, 0, 2, 2]
+        assert packed.lengths == [5, room, room - 2, 2, 2]  # every chain fills max_seq_len
 
 
 class TestThetaExclusivity:
@@ -213,7 +218,7 @@ class TestThetaExclusivity:
 
         params.adapter.B.data += 0.01
         with trainable(params.tensors().values()):
-            loglik = T.tsum(question_loglik([12, 13], [[10, 11]], params, demo_model))
+            loglik = T.tsum(question_loglik([[12, 13]], [[10, 11]], params, demo_model))
             T.backward(T.neg(loglik))
             assert params.soft_prompt.e1.grad is not None
             assert params.adapter.A.grad is not None

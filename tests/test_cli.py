@@ -189,11 +189,45 @@ class TestConfig:
         assert main(["--config", str(path), *flag, "init-model"]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("pretrain_batch_size", 0, "init-model"),
+        ("pretrain_steps", -3, "init-model"),
+        ("pretrain_steps", -2, "pretrain"),
+        ("pretrain_lr", -0.5, "init-model"),
+        ("pretrain_pack_len", 0, "init-model"),
+    ])
+    def test_bad_pretraining_value_is_exit_1(self, workspace, trained, tmp_path, capsys, key,
+                                             value, command):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["pretrain_steps"] = 1
+        out = tmp_path / "m.ckpt"
+        if command == "pretrain":  # the flag overrides the key
+            args = ["pretrain", "--checkpoint", str(trained["model"]), "--steps", str(value)]
+        else:
+            config["model"][key] = value
+            args = ["init-model"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), *args, "--out", str(out)]) == 1
+        assert f"model.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_path_that_is_a_directory_is_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path), "init-model"]) == 1
 
 
 class TestInitModel:
+    @pytest.mark.parametrize("key", ["dim", "max_seq_len"])
+    def test_model_too_large_is_config_error(self, workspace, tmp_path, capsys, key):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"][key] = 2**62
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 1
+        assert "parameters exceeds the limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_prints_closed_form_fraction(self, workspace, capsys):
         out = workspace["root"] / "m1.ckpt"
         assert main(["--config", workspace["config"], "init-model", "--out", str(out)]) == 0
@@ -544,6 +578,14 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "bad.ckpt"
         _rewrite_checkpoint(trained["model"], bad, lambda h: h["config"].update(change))
         self.assert_data_error(self.rerank(workspace, tmp_path, bad), capsys)
+
+    @pytest.mark.parametrize("key", ["dim", "max_seq_len"])
+    def test_config_of_a_model_too_large(self, workspace, trained, tmp_path, capsys, key):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_checkpoint(trained["model"], bad, lambda h: h["config"].update({key: 2**62}))
+        assert self.rerank(workspace, tmp_path, bad) == 2
+        err = capsys.readouterr().err  # rejected by its config, before buffer shapes are built
+        assert err.startswith("data error:") and "exceeds the limit" in err
 
     @pytest.mark.parametrize("shape", [[-1, 4], [4.0, 4]], ids=["negative", "float"])
     def test_negative_or_non_integer_shape(self, workspace, trained, tmp_path, capsys, shape):

@@ -25,11 +25,13 @@ from pspt.errors import (
     VocabularyError,
 )
 from pspt.model import (
+    MAX_PARAMETERS,
     UNK_ID,
     MicroLM,
     ModelConfig,
     Vocabulary,
     holdout_split,
+    param_shapes,
     pretrain_micro_lm,
     sequence_cross_entropy,
     tokenize_text,
@@ -83,6 +85,19 @@ class TestConfig:
     def test_vocab_floor(self):
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=3)
+
+    @pytest.mark.parametrize("fields", [{}, {"dim": 12, "n_heads": 3, "ffn_mult": 1},
+                                        {"n_layers": 3, "max_seq_len": 7}])
+    def test_param_count_sums_param_shapes(self, fields):
+        config = ModelConfig(vocab_size=40, **fields)
+        assert config.param_count == sum(int(np.prod(s)) for s in param_shapes(config).values())
+
+    def test_more_than_max_parameters_rejected(self):
+        base = ModelConfig(vocab_size=4).param_count
+        largest = 4 + (MAX_PARAMETERS - base) // 128  # each token adds one row of dim 128
+        assert ModelConfig(vocab_size=largest).param_count <= MAX_PARAMETERS
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            ModelConfig(vocab_size=largest + 1)
 
 
 class TestEmbed:
@@ -181,7 +196,8 @@ class TestForward:
 
 
 class TestPackedForward:
-    """Segments packed row-wise after a shared prefix equal full sequences."""
+    """Segments packed row-wise after a prefix segment that they continue
+    equal full sequences."""
 
     def sequences(self, dtype, seed=111):
         rng = T.make_rng(seed)
@@ -190,8 +206,12 @@ class TestPackedForward:
         return prefix, segments
 
     def packed(self, model, prefix, segments, rows=None):
-        x = T.Tensor(np.concatenate(segments))
-        return model.forward_logprobs(x, [len(s) for s in segments], T.Tensor(prefix), rows).data
+        """The segments' rows (or `rows`, counted from the first segment)
+        with the prefix as root segment 0 and every segment continuing it."""
+        x = T.Tensor(np.concatenate([prefix, *segments]))
+        lengths = [len(prefix)] + [len(s) for s in segments]
+        picked = np.arange(len(prefix), x.shape[0]) if rows is None else len(prefix) + rows
+        return model.forward_logprobs(x, lengths, [-1] + [0] * len(segments), picked).data
 
     def test_prefix_split_equals_full_sequence(self, tiny_model):
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
@@ -199,7 +219,7 @@ class TestPackedForward:
             prefix, segments = self.sequences(dtype)
             full = np.concatenate([prefix, segments[1]])
             want = model.forward_logprobs(T.Tensor(full)).data[len(prefix):]
-            got = model.forward_logprobs(T.Tensor(segments[1]), prefix=T.Tensor(prefix)).data
+            got = self.packed(model, prefix, [segments[1]])
             np.testing.assert_allclose(got, want, atol=tol, rtol=0)
 
     def test_packed_segments_match_naive_per_head_reference(self, tiny_model):
@@ -233,44 +253,46 @@ class TestPackedForward:
 
     def test_bad_lengths_and_over_length_rejected(self, tiny_model):
         prefix, segments = self.sequences(np.float32)
-        x = T.Tensor(np.concatenate(segments))
+        x = T.Tensor(np.concatenate([prefix, *segments]))
         with pytest.raises(ShapeError):
-            tiny_model.forward_logprobs(x, [3, 7, 1, 4], T.Tensor(prefix))
-        long = T.Tensor(np.zeros((13, 32), dtype=np.float32))
+            tiny_model.forward_logprobs(x, [4, 3, 7, 1, 4], [-1, 0, 0, 0, 0])
+        long = T.Tensor(np.concatenate([prefix, np.zeros((13, 32), dtype=np.float32)]))
         with pytest.raises(SequenceLengthError):  # 4 prefix rows + 13 > max_seq_len 16
-            tiny_model.forward_logprobs(long, prefix=T.Tensor(prefix))
+            tiny_model.forward_logprobs(long, [4, 13], [-1, 0])
 
-
-    # segments 3, 7, 1, 5 rows: 1 continues 0, 2 continues 1, 3 the prefix
-    PARENTS = [-1, 0, 1, -1]
+    # the prefix, segments of 3, 7, 1 and 5 rows, and one more root of 6 rows:
+    # 3 continues the prefix, 7 continues 3, 1 continues 7, 5 the prefix
+    PARENTS = [-1, 0, 1, 2, 0, -1]
 
     def test_continued_segments_match_naive_reference_of_their_chains(self, tiny_model):
         """A segment that continues others equals the end of the full
-        sequence of the prefix, its ancestors and itself (float64)."""
+        sequence of its ancestors and itself, and a root's positions start
+        at 0 (float64)."""
         model = tiny_model.astype(np.float64)
         prefix, segments = self.sequences(np.float64)
+        segments = [prefix, *segments, T.make_rng(112).normal(0, 0.5, size=(6, 32))]
         x = T.Tensor(np.concatenate(segments))
-        got = model.forward_logprobs(x, [len(s) for s in segments], T.Tensor(prefix),
-                                     parents=self.PARENTS).data
+        got = model.forward_logprobs(x, [len(s) for s in segments], self.PARENTS).data
         starts = np.cumsum([0] + [len(s) for s in segments])
         for i, seg in enumerate(segments):
             chain, a = [seg], self.PARENTS[i]
             while a >= 0:
                 chain.insert(0, segments[a])
                 a = self.PARENTS[a]
-            want = reference_forward(model, np.concatenate([prefix, *chain]))[-len(seg):]
+            want = reference_forward(model, np.concatenate(chain))[-len(seg):]
             np.testing.assert_allclose(got[starts[i]:starts[i + 1]], want, atol=1e-10, rtol=0)
 
     def test_bad_parents_and_over_long_chain_rejected(self, tiny_model):
         prefix, segments = self.sequences(np.float32)
-        x = T.Tensor(np.concatenate(segments))
-        for parents in ([-1, 0, 1], [-1, 1, 0, 0], [-1, 0, 3, 0], [-2, -1, -1, -1]):
+        x = T.Tensor(np.concatenate([prefix, *segments]))
+        lengths = [4, 3, 7, 1, 5]
+        for parents in ([-1, 0, 1, 2], [-1, 0, 2, 1, 1], [-1, 0, 1, 4, 1], [-1, -2, 0, 0, 0]):
             with pytest.raises(ShapeError):
-                tiny_model.forward_logprobs(x, [3, 7, 1, 5], T.Tensor(prefix), parents=parents)
+                tiny_model.forward_logprobs(x, lengths, parents)
         # every segment fits alone after the 4 prefix rows; the chain 4 + 7 + 1 + 5 rows
         # is longer than max_seq_len 16
         with pytest.raises(SequenceLengthError, match="sequence length 17"):
-            tiny_model.forward_logprobs(x, [3, 7, 1, 5], T.Tensor(prefix), parents=[-1, -1, 1, 2])
+            tiny_model.forward_logprobs(x, lengths, [-1, 0, 0, 2, 3])
 
 
 class TestPrecision:
@@ -283,7 +305,7 @@ class TestPrecision:
     def test_float32_scores_stay_float32(self, tiny_model):
         params = init_pspt_params(tiny_model, hard_prompt="w0 w1", soft_prompt_len=4, seed=2)
         q, d = [5, 6, 7], [8, 9, 10, 11]
-        assert question_loglik(q, [d], params, tiny_model).dtype == np.float32
+        assert question_loglik([q], [d], params, tiny_model).dtype == np.float32
         value = score_pspt(q, d, params, tiny_model)
         assert float(np.float32(value)) == value  # a float32 sum, not a float64 one
 

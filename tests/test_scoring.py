@@ -135,8 +135,8 @@ class TestBatchedScoring:
 
     def check(self, loglik, dtype):
         q = [10, 11, 12]
-        together = loglik(q, self.passages()).data
-        alone = np.array([loglik(q, [d]).data[0] for d in self.passages()])
+        together = loglik([q] * len(self.passages()), self.passages()).data
+        alone = np.array([loglik([q], [d]).data[0] for d in self.passages()])
         assert together.dtype == dtype and together.shape == (len(self.passages()),)
         if dtype == np.float64:
             np.testing.assert_allclose(together, alone, rtol=0, atol=1e-10)
@@ -184,9 +184,9 @@ class TestBatchedScoring:
 
     def test_passages_must_be_id_lists(self, demo_model, params):
         with pytest.raises(ContractError):
-            question_loglik([10], [], params, demo_model)
+            question_loglik([[10]], [], params, demo_model)
         with pytest.raises(ContractError):
-            question_loglik([10], [20, 21], params, demo_model)
+            question_loglik([[10]] * 2, [20, 21], params, demo_model)
 
 
 class PairsEqualAlone:
@@ -197,7 +197,7 @@ class PairsEqualAlone:
     def check(self, loglik, dtype, tol):
         passages, questions = self.pairs()
         together = loglik(questions, passages).data
-        alone = np.array([loglik(q, [d]).data[0] for d, q in zip(passages, questions)])
+        alone = np.array([loglik([q], [d]).data[0] for d, q in zip(passages, questions)])
         assert together.dtype == dtype and together.shape == alone.shape
         assert np.all(np.abs(together - alone) <= tol * np.maximum(1.0, np.abs(alone)))
 
@@ -221,12 +221,6 @@ class TestMultiQuestionPacking(PairsEqualAlone):
         passages = [[int(i) for i in rng.integers(8, 50, size=m)] for m in (0, 3, 12, 5, 1, 20)]
         questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in (2, 5, 3, 4, 2, 5)]
         return passages, questions
-
-    def test_repeated_question_equals_one_question(self, demo_model, params):
-        passages, _ = self.pairs()
-        np.testing.assert_array_equal(
-            question_loglik([[10, 11, 12]] * len(passages), passages, params, demo_model).data,
-            question_loglik([10, 11, 12], passages, params, demo_model).data)
 
     def test_question_count_must_match_passages(self, demo_model, params):
         with pytest.raises(ValueError):
@@ -257,9 +251,10 @@ class TestSharedPassagePacking(PairsEqualAlone):
         question_loglik(questions, passages, params, demo_model)
         distinct = list(dict.fromkeys(map(tuple, passages)))
         assert embedded == [[t for d in distinct for t in d]]
-        # one forward: each distinct passage and a separator once, then every question
-        sep = len(demo_model.vocab.encode(scoring.SEPARATOR_TEXT))
-        assert rows == [sum(len(d) + sep for d in distinct) + sum(map(len, questions))]
+        # one forward: the prompt, each distinct passage and a separator once, then every question
+        sep = len(demo_model.vocab.encode(scoring.adapter.SEPARATOR_TEXT))
+        assert rows == [params.soft_prompt.length + sum(len(d) + sep for d in distinct)
+                        + sum(map(len, questions))]
 
 
 class TestSharedPassageNearMaxSeqLen(PairsEqualAlone):
@@ -347,7 +342,7 @@ class TestGraphFreeScoring:
     """Parameters are frozen unless `trainable` unfreezes them, so scoring
     with loaded parameters records no backward graph."""
 
-    QUESTION, PASSAGES = [12, 13, 14], [[10, 11], [15], [16, 17, 18, 19]]
+    QUESTIONS, PASSAGES = [[12, 13, 14]] * 3, [[10, 11], [15], [16, 17, 18, 19]]
 
     @pytest.fixture
     def loaded(self, params, tmp_path):
@@ -356,14 +351,14 @@ class TestGraphFreeScoring:
         return load_params(tmp_path / "theta.ckpt")
 
     def test_loaded_params_score_without_graph(self, demo_model, loaded):
-        scores = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+        scores = question_loglik(self.QUESTIONS, self.PASSAGES, loaded, demo_model)
         assert not scores.requires_grad
         assert scores._parents == () and scores._backward is None
 
     def test_scores_bitwise_equal_to_those_inside_trainable(self, demo_model, loaded):
-        free = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+        free = question_loglik(self.QUESTIONS, self.PASSAGES, loaded, demo_model)
         with trainable(loaded.tensors().values()):
-            graphed = question_loglik(self.QUESTION, self.PASSAGES, loaded, demo_model)
+            graphed = question_loglik(self.QUESTIONS, self.PASSAGES, loaded, demo_model)
             assert graphed.requires_grad
         assert free.data.dtype == graphed.data.dtype
         assert free.data.tobytes() == graphed.data.tobytes()

@@ -111,6 +111,13 @@ class TestMain:
         assert main([str(tmp_path / "d.jsonl"), "--questions", "120"]) == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_1_is_exit_1_before_writing(self, tmp_path, capsys, k):
+        out = tmp_path / "d.jsonl"
+        assert main([str(out), "--bm25-run", str(tmp_path / "b.run"), "--k", k]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
