@@ -156,10 +156,10 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
         q = model.validate_ids(q)
         if not q:
             raise ContractError("question must contain at least one token")
-        budget = model.config.max_seq_len - n_pre - len(sep_ids) - len(q)
+        budget = model.config.max_seq_len - n_pre - SEPARATOR_ROWS - len(q)
         if budget < 0:
             raise SequenceLengthError(
-                f"prompt ({n_pre}) + separator ({len(sep_ids)}) + "
+                f"prompt ({n_pre}) + separator ({SEPARATOR_ROWS}) + "
                 f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
         kept.append((tuple(d)[:budget], q))
     uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
