@@ -258,16 +258,11 @@ class Bm25Index:
         return [RunEntry(pid, rank, score) for rank, (pid, score) in enumerate(scored[:k], 1)]
 
 
-def bm25_retrieve(dataset: QaDataset, question_id: str, k: int) -> list[RunEntry]:
-    """Top-k BM25 entries over the question's own passage pool."""
-    question = dataset.by_id[question_id]
-    return Bm25Index((p.passage_id, p.text) for p in question.passages).top_k(question.text, k)
-
-
 def bm25_run(dataset: QaDataset, k: int) -> RetrievalRun:
     """Run tagged "bm25": each question's own pool, ranked by BM25."""
-    return RetrievalRun("bm25", {q.question_id: bm25_retrieve(dataset, q.question_id, k)
-                                 for q in dataset.questions})
+    return RetrievalRun("bm25", {
+        q.question_id: Bm25Index((p.passage_id, p.text) for p in q.passages).top_k(q.text, k)
+        for q in dataset.questions})
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ soft prompt and adapted passage embeddings, UPR a hard prompt's token
 embeddings and the frozen passage embeddings. UPR-Inst is UPR whose
 prompt text ends with one in-context example passage and question.
 A score is the summed log-likelihood; `ListScorer` applies the score
-mode ("sum" or "mean" over question tokens).
+mode ("sum" or "mean" over question tokens). Reranking takes its scores
+from one `score_many` call per candidate list.
 
 Pairs are scored together, one question per passage: the prefix is the
 root segment of one packed forward, computed once, and each (passage,
@@ -22,7 +23,6 @@ positive as the other questions' negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .model import MicroLM
 from .tensor import Tensor
 
 DEFAULT_UPR_PROMPT = "Please generate question for this passage:"
-
-Scorer = Callable[[str, str], float]
 
 # Rows per packed forward in ListScorer.score_many. A forward holds a few
 # activation arrays of its full row count at once, so this bounds scoring
@@ -121,9 +119,9 @@ def _groups(items: list, rows: list[int], max_rows: int) -> list[list]:
 
 
 class ListScorer:
-    """A `(question, passage) -> score` callable whose `score_many` scores a
-    candidate list with one packed forward per MAX_PACKED_ROWS rows,
-    encoding the question once."""
+    """Scores a candidate list with `score_many`: one packed forward per
+    MAX_PACKED_ROWS rows, encoding the question once. Calling it scores one
+    passage; perfbench's float64 correctness gate does."""
 
     def __init__(self, model: MicroLM, mode: str, loglik):
         if mode not in ("sum", "mean"):
@@ -162,25 +160,11 @@ def _validate_candidates(candidates: list[Candidate]) -> None:
 
 
 def rerank_with_scores(question_text: str, candidates: list[Candidate],
-                       scorer: Scorer) -> list[tuple[Candidate, float]]:
-    """Score every candidate once and sort by score descending.
-
-    Ties keep retriever order. A scorer with `score_many` scores the whole
-    list in one call; plain `(question, passage) -> score` callables are
-    called per candidate.
-    """
+                       scorer: ListScorer) -> list[tuple[Candidate, float]]:
+    """Score the candidate list with one `scorer.score_many` call and sort
+    by score descending. Ties keep retriever order."""
     _validate_candidates(candidates)
-    texts = [c.text for c in candidates]
-    score_many = getattr(scorer, "score_many", None)
-    if score_many is not None:
-        scores = score_many(question_text, texts)
-    else:
-        scores = [scorer(question_text, t) for t in texts]
+    scores = scorer.score_many(question_text, [c.text for c in candidates])
     order = sorted(range(len(candidates)),
                    key=lambda i: (-scores[i], candidates[i].retriever_rank))
     return [(candidates[i], scores[i]) for i in order]
-
-
-def rerank(question_text: str, candidates: list[Candidate], scorer: Scorer) -> list[Candidate]:
-    """Permutation of the input candidates, best PSPT/UPR score first."""
-    return [c for c, _ in rerank_with_scores(question_text, candidates, scorer)]

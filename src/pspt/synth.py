@@ -20,30 +20,30 @@ from .errors import EXIT_OK, ConfigError, PsptError, report_error
 from .evaluation import Passage, QaDataset, Question, bm25_run, save_dataset, write_run_file
 
 
+PASSAGE_WORDS_PER_TOPIC = 3
+QUESTION_WORDS_PER_TOPIC = 2
+N_FILLER_WORDS = 40
+# same-bridge confusers per passage pool, and the pool size (positive included)
+CONFUSER_MIN, CONFUSER_MAX = 4, 11
+POOL_SIZE = 14
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_questions: int = 400
     n_topics: int = 40
-    passage_words_per_topic: int = 3
-    question_words_per_topic: int = 2
     n_bridge_words: int = 30
-    n_filler_words: int = 40
     filler_tokens_min: int = 3
     filler_tokens_max: int = 8
-    confuser_min: int = 4
-    confuser_max: int = 11
-    pool_size: int = 14
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_questions < 2 * self.n_bridge_words:
             raise ConfigError("need several questions per bridge word")
-        if self.pool_size <= self.confuser_max + 1:
-            raise ConfigError("pool_size must exceed confuser_max + 1")
         group = self.n_questions // self.n_bridge_words
-        if group <= self.confuser_max:
+        if group <= CONFUSER_MAX:
             raise ConfigError(
-                f"only ~{group} questions per bridge; confuser_max {self.confuser_max} unreachable")
+                f"only ~{group} questions per bridge; confuser_max {CONFUSER_MAX} unreachable")
 
 
 def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
@@ -51,13 +51,13 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
     rng = T.make_rng(config.seed, 40)
     topics = [
         (
-            [f"tp{k}x{j}" for j in range(config.passage_words_per_topic)],
-            [f"tq{k}x{j}" for j in range(config.question_words_per_topic)],
+            [f"tp{k}x{j}" for j in range(PASSAGE_WORDS_PER_TOPIC)],
+            [f"tq{k}x{j}" for j in range(QUESTION_WORDS_PER_TOPIC)],
         )
         for k in range(config.n_topics)
     ]
     bridges = [f"br{i}" for i in range(config.n_bridge_words)]
-    fillers = [f"fl{i}" for i in range(config.n_filler_words)]
+    fillers = [f"fl{i}" for i in range(N_FILLER_WORDS)]
 
     # near-equal bridge groups, shuffled so bridges do not track topics
     bridge_of = [bridges[i % config.n_bridge_words] for i in range(config.n_questions)]
@@ -72,7 +72,7 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
         question_texts.append("find " + " ".join(question_words) + f" near {bridge}")
         n_fill = int(rng.integers(config.filler_tokens_min, config.filler_tokens_max + 1))
         body = list(passage_words) + [bridge]
-        body += [fillers[int(j)] for j in rng.integers(0, config.n_filler_words, size=n_fill)]
+        body += [fillers[int(j)] for j in rng.integers(0, N_FILLER_WORDS, size=n_fill)]
         rng.shuffle(body)
         positive_texts.append(" ".join(body))
         positive_ids.append(f"d{int(id_perm[i]):04d}")
@@ -84,13 +84,13 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
     questions = []
     for i in range(config.n_questions):
         same_bridge = [j for j in by_bridge[bridge_of[i]] if j != i]
-        n_confusers = int(rng.integers(config.confuser_min, config.confuser_max + 1))
+        n_confusers = int(rng.integers(CONFUSER_MIN, CONFUSER_MAX + 1))
         n_confusers = min(n_confusers, len(same_bridge))
         confusers = [same_bridge[int(j)] for j in
                      rng.choice(len(same_bridge), size=n_confusers, replace=False)]
         others = [j for j in range(config.n_questions)
                   if j != i and bridge_of[j] != bridge_of[i]]
-        n_rest = config.pool_size - 1 - n_confusers
+        n_rest = POOL_SIZE - 1 - n_confusers
         rest = [others[int(j)] for j in rng.choice(len(others), size=n_rest, replace=False)]
         passages = [Passage(positive_ids[i], positive_texts[i], True)]
         passages += [Passage(positive_ids[j], positive_texts[j], False)
@@ -160,20 +160,19 @@ def main(argv=None) -> int:
         if args.k < 1:
             raise ConfigError(f"--k must be at least 1, got {args.k}")
         dataset = build_synthetic_dataset(SynthConfig(n_questions=args.questions, seed=args.seed))
+        # split before the first write, so a bad --train-size leaves no file behind
+        train_ds, eval_ds = (split_dataset(dataset, args.train_size)
+                             if args.train_split or args.eval_split else (None, dataset))
         save_dataset(dataset, args.out)
         print(f"wrote {len(dataset)} questions to {args.out}")
-        bm25_target = dataset
-        if args.train_split or args.eval_split:
-            train_ds, eval_ds = split_dataset(dataset, args.train_size)
-            if args.train_split:
-                save_dataset(train_ds, args.train_split)
-                print(f"wrote train split ({len(train_ds)}) to {args.train_split}")
-            if args.eval_split:
-                save_dataset(eval_ds, args.eval_split)
-                print(f"wrote eval split ({len(eval_ds)}) to {args.eval_split}")
-            bm25_target = eval_ds
+        if args.train_split:
+            save_dataset(train_ds, args.train_split)
+            print(f"wrote train split ({len(train_ds)}) to {args.train_split}")
+        if args.eval_split:
+            save_dataset(eval_ds, args.eval_split)
+            print(f"wrote eval split ({len(eval_ds)}) to {args.eval_split}")
         if args.bm25_run:
-            write_run_file(bm25_run(bm25_target, k=args.k), args.bm25_run)
+            write_run_file(bm25_run(eval_ds, k=args.k), args.bm25_run)
             print(f"wrote BM25 top-{args.k} run to {args.bm25_run}")
     except (PsptError, OSError) as exc:
         return report_error(exc)

@@ -15,7 +15,7 @@ from pspt.evaluation import (
     Question,
     RetrievalRun,
     RunEntry,
-    bm25_retrieve,
+    bm25_run,
     evaluate,
     hit_at_k,
     load_dataset,
@@ -121,7 +121,7 @@ class TestBm25:
                 Passage(pid, text, pid == "d1") for pid, text in self.FIXTURE.items()
             ])
         ])
-        entries = bm25_retrieve(ds, "q1", 3)
+        entries = bm25_run(ds, 3).queries["q1"]
         assert [e.passage_id for e in entries] == ["d1", "d4", "d2"]
         assert [e.rank for e in entries] == [1, 2, 3]
 

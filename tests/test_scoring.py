@@ -16,7 +16,6 @@ from pspt.scoring import (
     make_pspt_scorer,
     make_upr_scorer,
     question_loglik,
-    rerank,
     rerank_with_scores,
     score_pspt,
     score_upr,
@@ -270,21 +269,35 @@ class TestSharedPassageNearMaxSeqLen(PairsEqualAlone):
         return [long[i] for i in which], questions
 
 
+class PerText:
+    """A scorer stub whose `score_many` applies `fn(question, text)` to each text."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def score_many(self, question, texts):
+        return [self.fn(question, t) for t in texts]
+
+
+def reranked(question, cands, fn):
+    return [c for c, _ in rerank_with_scores(question, cands, PerText(fn))]
+
+
 class TestRerank:
     def test_single_candidate_unchanged(self, demo_model):
         cands = candidates(1)
-        out = rerank("w1", cands, lambda q, d: -1.0)
+        out = reranked("w1", cands, lambda q, d: -1.0)
         assert out == cands
 
     def test_equal_scores_keep_retriever_order(self):
         cands = candidates(5)
-        out = rerank("w1", cands, lambda q, d: -3.5)
+        out = reranked("w1", cands, lambda q, d: -3.5)
         assert [c.passage_id for c in out] == [c.passage_id for c in cands]
 
     def test_distinct_scores_match_sort_oracle(self):
         cands = candidates(5)
         values = {"d0": -4.0, "d1": -1.0, "d2": -9.0, "d3": -0.5, "d4": -2.0}
-        out = rerank("w1", cands, lambda q, d: values[d.split()[1].replace("w", "d")])
+        out = reranked("w1", cands, lambda q, d: values[d.split()[1].replace("w", "d")])
 
         def oracle(cs):
             return [c for c, _ in sorted(((c, values[c.passage_id]) for c in cs),
@@ -294,7 +307,7 @@ class TestRerank:
 
     def test_output_is_permutation(self):
         cands = candidates(7)
-        out = rerank("w1", cands, lambda q, d: float(hash(d) % 13))
+        out = reranked("w1", cands, lambda q, d: float(hash(d) % 13))
         assert sorted(c.passage_id for c in out) == sorted(c.passage_id for c in cands)
 
     def test_constant_shift_preserves_permutation(self):
@@ -304,16 +317,16 @@ class TestRerank:
         def scorer_at(shift):
             return lambda q, d: base[d.split()[1].replace("w", "d")] + shift
 
-        assert rerank("w1", cands, scorer_at(0.0)) == rerank("w1", cands, scorer_at(5.0))
+        assert reranked("w1", cands, scorer_at(0.0)) == reranked("w1", cands, scorer_at(5.0))
 
     def test_duplicate_id_rejected(self):
         cands = candidates(3) + [Candidate("d1", "dup", 9, 0.0)]
         with pytest.raises(InputError):
-            rerank("w1", cands, lambda q, d: 0.0)
+            reranked("w1", cands, lambda q, d: 0.0)
 
     def test_empty_list_rejected(self):
         with pytest.raises(InputError):
-            rerank("w1", [], lambda q, d: 0.0)
+            reranked("w1", [], lambda q, d: 0.0)
 
     def test_list_scorer_gets_the_whole_list_in_one_call(self):
         class ListOnly:
@@ -335,7 +348,8 @@ class TestRerank:
     def test_deterministic_given_same_inputs(self, demo_model):
         scorer = make_upr_scorer(demo_model)
         cands = [Candidate(f"d{i}", f"w{i} w{i + 3}", i + 1, 0.0) for i in range(5)]
-        assert rerank("w1 w2", cands, scorer) == rerank("w1 w2", cands, scorer)
+        assert (rerank_with_scores("w1 w2", cands, scorer)
+                == rerank_with_scores("w1 w2", cands, scorer))
 
 
 class TestGraphFreeScoring:

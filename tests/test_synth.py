@@ -118,6 +118,15 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("size", ["0", "400"])
+    def test_train_size_outside_the_dataset_is_exit_1_before_writing(self, tmp_path, capsys,
+                                                                      size):
+        out = tmp_path / "d.jsonl"
+        assert main([str(out), "--train-split", str(tmp_path / "t.jsonl"),
+                     "--train-size", size]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("data error:")
