@@ -187,10 +187,11 @@ class MicroLM:
         chain, from 0 for a root. Each segment runs through each layer once
         per call, however many segments continue it. Returns the
         distributions of the rows of `x` indexed by `rows` (default: every
-        row), shaped like `rows` plus a vocabulary axis. Each leading index
-        of a 2-D `rows` is projected to the vocabulary separately, so a
-        row's result does not depend on how many other rows are asked for
-        alongside it.
+        row), shaped like `rows` plus a vocabulary axis; `rows` may repeat
+        a row and be in any order. The last layer computes keys and values
+        from every row but everything after them only for the distinct
+        rows asked for. Each leading index of a `rows` of two axes or more
+        is projected to the vocabulary separately.
 
         Accepts embeddings rather than ids so callers can splice in soft
         prompts and adapted passage vectors.
@@ -213,25 +214,32 @@ class MicroLM:
         if longest > cfg.max_seq_len:
             raise SequenceLengthError(f"sequence length {longest} exceeds "
                                       f"max_seq_len {cfg.max_seq_len}")
+        queried = None  # the rows the last layer runs past its keys and values: all, or these
+        if rows is not None:
+            picked = _checked_rows(rows, x.shape[0])
+            queried, inverse = np.unique(picked.reshape(-1), return_inverse=True)
         positions = [s + t for s, n in zip(starts, lengths) for t in range(n)]
         h = T.add(x, T.gather_rows(p["pos_emb"], positions))
         for i in range(cfg.n_layers):
             # sublayers are methods so that their temporaries die on return
-            h = T.add(h, self._attention(h, f"layers.{i}.", lengths, parents))
-            h = T.add(h, self._feed_forward(h, f"layers.{i}."))
+            pre, q_rows = f"layers.{i}.", queried if i == cfg.n_layers - 1 else None
+            h = T.add(h if q_rows is None else T.gather_rows(h, q_rows),
+                      self._attention(h, pre, lengths, parents, q_rows))
+            h = T.add(h, self._feed_forward(h, pre))
         if rows is not None:
-            picked = np.asarray(rows, dtype=np.int64)
-            h = T.gather_rows(h, picked.reshape(-1))
+            h = T.gather_rows(h, inverse)
             if picked.ndim != 1:
                 h = T.reshape(h, picked.shape + (cfg.dim,))
         hf = T.layer_norm(h, p["ln_f.gamma"], p["ln_f.beta"])
         logits = T.matmul(hf, T.transpose(p["tok_emb"]))
         return T.log_softmax_rows(logits)
 
-    def _attention(self, h: Tensor, pre: str, sizes: list[int], parents: list[int]) -> Tensor:
-        """Multi-head self-attention with heads batched on a leading axis."""
+    def _attention(self, h: Tensor, pre: str, sizes: list[int], parents: list[int],
+                   q_rows=None) -> Tensor:
+        """Multi-head self-attention with heads batched on a leading axis,
+        for the rows `q_rows` (sorted and unique; default: every row)."""
         p = self.params
-        n_rows, dim = h.shape
+        dim = h.shape[1]
         heads = self.config.n_heads
         dh = dim // heads
         # a scalar of the model's dtype: a float64 scalar would promote the
@@ -239,12 +247,14 @@ class MicroLM:
         scale = self.dtype.type(1.0 / np.sqrt(dh))
         a = T.layer_norm(h, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
 
-        def project(name):  # [rows, dim] -> [heads, rows, dh]
+        def project(a, name):  # [rows, dim] -> [heads, rows, dh]
             t = T.matmul(a, p[pre + "attn." + name])
-            return T.permute(T.reshape(t, (n_rows, heads, dh)), (1, 0, 2))
+            return T.permute(T.reshape(t, (a.shape[0], heads, dh)), (1, 0, 2))
 
-        att = T.block_attention(project("wq"), project("wk"), project("wv"), sizes, parents, scale)
-        merged = T.reshape(T.permute(att, (1, 0, 2)), (n_rows, dim))
+        k, v = project(a, "wk"), project(a, "wv")
+        q = project(a if q_rows is None else T.gather_rows(a, q_rows), "wq")
+        att = T.block_attention(q, k, v, sizes, parents, scale, q_rows)
+        merged = T.reshape(T.permute(att, (1, 0, 2)), (q.shape[1], dim))
         return T.matmul(merged, p[pre + "attn.wo"])
 
     def _feed_forward(self, h: Tensor, pre: str) -> Tensor:
@@ -252,6 +262,22 @@ class MicroLM:
         a = T.layer_norm(h, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
         f = T.relu(T.add(T.matmul(a, p[pre + "ffn.w1"]), p[pre + "ffn.b1"]))
         return T.add(T.matmul(f, p[pre + "ffn.w2"]), p[pre + "ffn.b2"])
+
+
+def _checked_rows(rows, n_rows: int) -> np.ndarray:
+    """`rows` as an int64 array of one axis or more whose entries index n_rows rows."""
+    try:
+        picked = np.asarray(rows)
+    except ValueError:  # ragged nested lists
+        raise ShapeError("rows must be a rectangular array of row indices") from None
+    if picked.size == 0:
+        picked = picked.astype(np.int64)
+    if picked.ndim < 1 or picked.dtype.kind not in "iu":
+        raise ShapeError(f"rows must be an integer array of one axis or more, got "
+                         f"{picked.dtype} of shape {picked.shape}")
+    if picked.size and not (0 <= picked.min() and picked.max() < n_rows):
+        raise ShapeError(f"rows {picked.min()}..{picked.max()} outside the {n_rows} input rows")
+    return picked.astype(np.int64)
 
 
 def _mean_sequence_nll(model: MicroLM, seqs: list[list[int]]) -> Tensor:

@@ -38,6 +38,12 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.n_topics < 1 or self.n_bridge_words < 1:
+            raise ConfigError(f"n_topics {self.n_topics} and n_bridge_words "
+                              f"{self.n_bridge_words} must be at least 1")
+        if not 0 <= self.filler_tokens_min <= self.filler_tokens_max:
+            raise ConfigError(f"filler token range [{self.filler_tokens_min}, "
+                              f"{self.filler_tokens_max}] must satisfy 0 <= min <= max")
         if self.n_questions < 2 * self.n_bridge_words:
             raise ConfigError("need several questions per bridge word")
         group = self.n_questions // self.n_bridge_words

@@ -266,60 +266,77 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
-                    parents: Sequence[int], scale: float = 1.0) -> Tensor:
+                    parents: Sequence[int], scale: float = 1.0, q_rows=None) -> Tensor:
     """Causal softmax attention, softmax(q kᵀ · scale) v, inside a tree of
-    row blocks.
+    row blocks, for the key rows that `q` holds.
 
-    q, k and v are [..., R, d]: leading axes (attention heads) are batched
+    k and v are [..., R, d]: leading axes (attention heads) are batched
     and the R rows on axis -2 are cut into consecutive blocks of `sizes`.
     Block j continues block parents[j], an earlier block, or no block if
     it is -1. A row attends to every row of its block's ancestor chain and
     to its own block's rows up to itself. A shared prefix is block 0 with
     every other block's parent 0; a block shared by several continuations
     is computed once, for all of them.
+
+    q is [..., Q, d] and holds the query side of the key rows `q_rows`,
+    sorted and unique (default: all R rows); the result is shaped like q.
+    A block none of whose rows is queried costs nothing but still serves
+    the blocks that continue it.
     """
-    if not q.shape == k.shape == v.shape or q.ndim < 2:
-        raise ShapeError(f"block_attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    if (sum(sizes) != q.shape[-2] or min(sizes, default=0) < 1 or len(parents) != len(sizes)
+    if (q.ndim < 2 or q.ndim != k.ndim or k.shape != v.shape
+            or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
+        raise ShapeError(f"block_attention needs equal k, v shapes and q of their leading and "
+                         f"last axes, got {q.shape}, {k.shape}, {v.shape}")
+    n_keys = k.shape[-2]
+    if (sum(sizes) != n_keys or min(sizes, default=0) < 1 or len(parents) != len(sizes)
             or any(not -1 <= p < j for j, p in enumerate(parents))):
         raise ShapeError(f"block sizes {list(sizes)} with parents {list(parents)} do not "
-                         f"partition {q.shape[-2]} rows into a tree")
-    causal = np.triu(np.full((max(sizes), max(sizes)), -1e9, dtype=q.dtype), k=1)
+                         f"partition {n_keys} rows into a tree")
+    q_rows = np.arange(n_keys) if q_rows is None else np.asarray(q_rows, dtype=np.int64)
+    if (q_rows.shape != (q.shape[-2],) or (q_rows.size and (q_rows[0] < 0 or q_rows[-1] >= n_keys))
+            or np.any(np.diff(q_rows) <= 0)):
+        raise ShapeError(f"query rows must be {q.shape[-2]} sorted, unique rows in "
+                         f"[0, {n_keys}), got shape {q_rows.shape}")
+    starts = np.cumsum([0, *sizes])
+    held = np.searchsorted(q_rows, starts)  # block j's queries are q rows held[j]:held[j + 1]
     out = np.empty_like(q.data)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
     saved = []
     chains: list[list[slice]] = []  # each block's key spans: its ancestors, root first, then itself
-    lo = 0
-    for n, parent in zip(sizes, parents):
-        own = slice(lo, lo + n)
-        keys = (chains[parent] if parent >= 0 else []) + [own]
+    for j, (n, parent) in enumerate(zip(sizes, parents)):
+        lo = starts[j]
+        keys = (chains[parent] if parent >= 0 else []) + [slice(lo, lo + n)]
         chains.append(keys)
+        mine = slice(held[j], held[j + 1])
+        if mine.start == mine.stop:
+            continue
         kc = np.concatenate([k.data[..., s, :] for s in keys], axis=-2)
         vc = np.concatenate([v.data[..., s, :] for s in keys], axis=-2)
-        # scores become the attention weights in place: one [..., n, keys] array per block
-        w = q.data[..., own, :] @ np.swapaxes(kc, -1, -2)
+        # scores become the attention weights in place: one [..., queries, keys] array per block
+        w = q.data[..., mine, :] @ np.swapaxes(kc, -1, -2)
         w *= scale
-        w[..., kc.shape[-2] - n:] += causal[:n, :n]
+        # a query row sees its own block's rows up to itself
+        w[..., kc.shape[-2] - n:] += np.where(np.arange(lo, lo + n) > q_rows[mine, None],
+                                              q.dtype.type(-1e9), q.dtype.type(0))
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        out[..., own, :] = w @ vc
+        out[..., mine, :] = w @ vc
         if keep:  # inference keeps one block's temporaries at a time
-            saved.append((own, keys, kc, vc, w))
-        lo += n
+            saved.append((mine, keys, kc, vc, w))
 
     def backward(g):
         dq, dk, dv = (np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v))
-        for own, keys, kc, vc, w in saved:
-            g_own = g[..., own, :]
-            dw = g_own @ np.swapaxes(vc, -1, -2)
+        for mine, keys, kc, vc, w in saved:
+            g_mine = g[..., mine, :]
+            dw = g_mine @ np.swapaxes(vc, -1, -2)
             ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
             if dq is not None:
-                dq[..., own, :] = ds @ kc
+                dq[..., mine, :] = ds @ kc
             if dk is not None:
-                _add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q.data[..., own, :])
+                _add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q.data[..., mine, :])
             if dv is not None:
-                _add_rows(dv, keys, np.swapaxes(w, -1, -2) @ g_own)
+                _add_rows(dv, keys, np.swapaxes(w, -1, -2) @ g_mine)
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if d is not None:
                 _accumulate(t, d)

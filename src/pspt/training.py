@@ -5,7 +5,8 @@ in which each distinct passage is encoded once however many of the
 batch's questions it serves, averages the per-pair loss,
 backpropagates into the soft prompt and adapter only, clips the global
 gradient norm (logged with whether it clipped), and applies Adam with
-linearly decaying learning rates. A dev pass is one packed forward per
+linearly decaying learning rates (logging the norm of the update to the
+soft prompt and to the adapter). A dev pass is one packed forward per
 MAX_PACKED_ROWS rows of dev pairs. Early stopping keeps the parameter
 snapshot with the best dev loss.
 """
@@ -215,6 +216,12 @@ def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: Micr
                for group in _groups(instances, rows, MAX_PACKED_ROWS)) / len(instances)
 
 
+def _update_norm(tensors: list[Tensor], before: list[np.ndarray]) -> float:
+    """L2 norm of what the last optimizer step added to the tensors, in float64."""
+    return math.sqrt(sum(float(np.square(t.data.astype(np.float64) - b).sum())
+                         for t, b in zip(tensors, before, strict=True)))
+
+
 def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM,
           params: PsptParams) -> TrainResult:
     """Optimize the adapter parameters; the model itself is never touched.
@@ -235,9 +242,9 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
     dev_set = [instances[i] for i in order[:n_dev]]
     train_set = [instances[i] for i in order[n_dev:]]
 
-    theta = list(params.tensors().values())
     e1 = params.soft_prompt.e1
     adapters = [params.adapter.A, params.adapter.B]
+    theta = [e1, *adapters]
     opt = Adam([([e1], config.lr_soft_prompt), (adapters, config.lr_adapter)])
 
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
@@ -265,6 +272,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                     raise NumericError(f"non-finite loss at step {step}")
                 T.backward(total)
                 grad_norm = clip_global_norm(theta, config.grad_clip)
+                before = [t.data for t in theta]  # Adam replaces each array, never writes into it
                 opt.step(scale)
             log.append({
                 "step": step,
@@ -276,6 +284,8 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 "loss_pair": pair.item(),
                 "grad_norm": grad_norm,
                 "clipped": grad_norm > config.grad_clip,
+                "update_norm_soft_prompt": _update_norm([e1], before[:1]),
+                "update_norm_adapter": _update_norm(adapters, before[1:]),
             })
             step += 1
         if dev_set:

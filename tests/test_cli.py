@@ -312,7 +312,7 @@ class TestTrain:
         epoch_records = [r for r in records if "dev_loss" in r]
         assert step_records and epoch_records
         assert {"lr_g1", "lr_g2", "loss", "loss_point", "loss_pair", "grad_norm",
-                "clipped"} <= set(step_records[0])
+                "clipped", "update_norm_soft_prompt", "update_norm_adapter"} <= set(step_records[0])
 
 
 class TestRerank:

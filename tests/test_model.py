@@ -295,6 +295,36 @@ class TestPackedForward:
             tiny_model.forward_logprobs(x, lengths, [-1, 0, 0, 2, 3])
 
 
+    ROWS = {"1-D": [0, 4, 9, 14, 20, 25], "unsorted": [14, 3, 3, 25, 0],
+            "2-D-padded": [[4, 5, 6, 6], [14, 15, 15, 15], [20, 21, 22, 23]],
+            "empty": np.zeros(0, dtype=np.int64), "roots-unqueried": [7, 8, 9, 10, 11]}
+
+    @pytest.mark.parametrize("rows", ROWS.values(), ids=ROWS.keys())
+    def test_rows_equal_full_forward_gathered(self, tiny_model, rows):
+        """The last layer computed for the requested rows only equals every
+        row's distributions taken at them (float64)."""
+        model = tiny_model.astype(np.float64)
+        prefix, segments = self.sequences(np.float64)
+        segments = [prefix, *segments, T.make_rng(112).normal(0, 0.5, size=(6, 32))]
+        x = T.Tensor(np.concatenate(segments))
+        lengths = [len(s) for s in segments]
+        full = model.forward_logprobs(x, lengths, self.PARENTS).data
+        got = model.forward_logprobs(x, lengths, self.PARENTS, rows).data
+        assert got.shape == np.shape(rows) + (model.config.vocab_size,)
+        np.testing.assert_allclose(got, full[np.asarray(rows, dtype=np.int64)], atol=1e-10, rtol=0)
+
+    @pytest.mark.parametrize("rows", [[-1], [7], [[0, 1], [2]], [0.5], 2],
+                             ids=["negative", "past-the-end", "ragged", "float", "scalar"])
+    def test_bad_rows_rejected(self, tiny_model, rows):
+        x = T.Tensor(np.zeros((4, 32), dtype=np.float32))
+        with pytest.raises(ShapeError, match="rows"):
+            tiny_model.forward_logprobs(x, rows=rows)
+
+    def test_empty_rows_give_no_distributions(self, tiny_model):
+        x = T.Tensor(np.zeros((4, 32), dtype=np.float32))
+        assert tiny_model.forward_logprobs(x, rows=[]).shape == (0, tiny_model.config.vocab_size)
+
+
 class TestPrecision:
     """float32 is the working precision end to end; float64 only on request."""
 

@@ -376,3 +376,37 @@ class TestGraphFreeScoring:
             assert graphed.requires_grad
         assert free.data.dtype == graphed.data.dtype
         assert free.data.tobytes() == graphed.data.tobytes()
+
+
+class TestQuestionRowsOnlyGradients:
+    def test_gradients_equal_a_full_row_forward_gathered(self, demo_model, params, monkeypatch):
+        """e1, A and B gradients through question_loglik, whose last layer
+        runs on the question rows only, equal those through a forward of
+        every row followed by gather_rows (float64)."""
+        model = demo_model.astype(np.float64)
+        theta = params.astype(np.float64)
+        theta.adapter.B.data = T.make_rng(19).normal(0, 0.1, theta.adapter.B.shape)
+        # the first and last pairs share their passage segment
+        questions = [[10, 11, 12], [13, 14], [15, 16, 17, 18]]
+        passages = [[20, 21, 22], [23, 24], [20, 21, 22]]
+        weights = np.array([0.7, -1.3, 0.4])
+
+        def gradients():
+            tensors = list(theta.tensors().values())
+            with trainable(tensors):
+                scores = question_loglik(questions, passages, theta, model)
+                T.backward(T.tsum(T.mul(scores, weights)))
+                return [t.grad.copy() for t in tensors]
+
+        fast = gradients()
+        forward = model.forward_logprobs
+
+        def full_then_gather(x, lengths, parents, rows):
+            rows = np.asarray(rows)
+            picked = T.gather_rows(forward(x, lengths, parents), rows.reshape(-1))
+            return T.reshape(picked, rows.shape + (model.config.vocab_size,))
+
+        monkeypatch.setattr(model, "forward_logprobs", full_then_gather)
+        for got, want in zip(fast, gradients(), strict=True):
+            assert np.abs(want).max() > 0
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

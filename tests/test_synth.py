@@ -70,6 +70,21 @@ class TestBuilder:
         with pytest.raises(ConfigError):
             build_synthetic_dataset(SynthConfig(n_questions=20, n_bridge_words=30))
 
+    @pytest.mark.parametrize("fields", [
+        dict(n_topics=0), dict(n_topics=-1), dict(n_bridge_words=0), dict(n_bridge_words=-2),
+        dict(filler_tokens_min=5, filler_tokens_max=4), dict(filler_tokens_min=-1),
+    ], ids=["no-topics", "negative-topics", "no-bridges", "negative-bridges",
+            "filler-min-above-max", "negative-filler-min"])
+    def test_out_of_range_field_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            build_synthetic_dataset(SynthConfig(n_questions=120, **fields))
+
+    def test_empty_and_single_width_filler_ranges_accepted(self):
+        for width in (0, 3):
+            config = SynthConfig(n_questions=120, n_bridge_words=8, filler_tokens_min=width,
+                                 filler_tokens_max=width)
+            assert len(build_synthetic_dataset(config).questions) == 120
+
 
 class TestSplit:
     def test_partition(self, dataset):

@@ -402,3 +402,53 @@ class TestBatchedOpsGradients:
         t = T.Tensor(np.zeros((1, 6, 2)))
         with pytest.raises(ShapeError, match="tree"):
             T.block_attention(t, t, t, [2, 2, 2], parents)
+
+    # TREE row subsets: one query row or more in every block, and one that
+    # leaves blocks 1 (which blocks 2 and 3 continue) and 4 unqueried
+    SUBSETS = {"every-block": [0, 4, 6, 7, 11, 12], "blocks-unqueried": [2, 8, 10, 11]}
+
+    @pytest.mark.parametrize("rows", SUBSETS.values(), ids=SUBSETS.keys())
+    def test_block_attention_query_row_subset(self, rows):
+        sizes, parents = self.TREE
+        shape = (2, sum(sizes), 3)
+
+        def build(t):
+            return weighted(T.block_attention(t[0], t[1], t[2], sizes, parents, 0.6, rows))
+
+        check_gradients(build, self.arrays((2, len(rows), 3), shape, shape), tol=1e-5)
+
+    @pytest.mark.parametrize("rows", SUBSETS.values(), ids=SUBSETS.keys())
+    def test_block_attention_query_rows_equal_all_rows_at_them(self, rows):
+        """Outputs and the gradients of q, k and v equal the all-rows
+        result's, taken at the query rows (zero weight elsewhere)."""
+        sizes, parents = self.TREE
+        q, k, v = self.arrays(*[(2, sum(sizes), 3)] * 3)
+        w = self.rng.normal(size=q.shape)
+        w_full = np.zeros_like(w)
+        w_full[:, rows] = w[:, rows]
+
+        def run(q_part, q_rows, weights):
+            ts = [T.Tensor(a, requires_grad=True) for a in (q_part, k, v)]
+            out = T.block_attention(*ts, sizes, parents, 0.6, q_rows)
+            T.backward(T.tsum(T.mul(out, T.Tensor(weights))))
+            return out.data, *(t.grad for t in ts)
+
+        out, dq, dk, dv = run(q[:, rows], rows, w[:, rows])
+        full, dq_full, dk_full, dv_full = run(q, None, w_full)
+        np.testing.assert_allclose(out, full[:, rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dq, dq_full[:, rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dk, dk_full, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dv, dv_full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [2, 6], [1]],
+                             ids=["unsorted", "repeated", "negative", "past-the-end", "too-few"])
+    def test_block_attention_rejects_bad_query_rows(self, rows):
+        q, kv = T.Tensor(np.zeros((1, 2, 2))), T.Tensor(np.zeros((1, 6, 2)))
+        with pytest.raises(ShapeError, match="query rows"):
+            T.block_attention(q, kv, kv, [2, 2, 2], [-1, 0, 0], q_rows=rows)
+
+    def test_block_attention_with_no_query_rows_is_empty(self):
+        kv = T.Tensor(np.ones((2, 6, 3)))
+        out = T.block_attention(T.Tensor(np.zeros((2, 0, 3))), kv, kv, [2, 4], [-1, 0],
+                                q_rows=[])
+        assert out.shape == (2, 0, 3)

@@ -1,6 +1,7 @@
 """Instance building, in-batch expansion, losses, and the training loop."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -332,6 +333,28 @@ class TestTrain:
         assert steps and all(r["grad_norm"] > 0 for r in steps)
         assert all(r["clipped"] == (r["grad_norm"] > config.grad_clip) for r in steps)
         assert {r["clipped"] for r in steps} == {True, False}
+
+    def test_log_records_update_norms_reproducibly(self, demo_model, tmp_path):
+        """Each step's Adam update norms are finite, reproducible to the byte,
+        and at step 0 the adapter's scales with lr_adapter: Adam's first step
+        moves each entry by about lr, or 0 where its gradient is 0."""
+        logs = {}
+        for run, lr in enumerate((1e-3, 1e-3, 1e-4)):
+            params = init_pspt_params(demo_model, soft_prompt_len=6, seed=9)
+            result = train(self.quick_config(epochs=1, lr_adapter=lr), overfit_setup(demo_model),
+                           demo_model, params)
+            write_train_log(result.log, tmp_path / f"log{run}.jsonl")
+            logs[run] = (tmp_path / f"log{run}.jsonl").read_bytes()
+        assert logs[0] == logs[1]
+        steps = {run: [json.loads(line) for line in log.splitlines() if b'"step"' in line]
+                 for run, log in logs.items()}
+        for record in steps[0] + steps[2]:
+            for key in ("update_norm_soft_prompt", "update_norm_adapter"):
+                assert math.isfinite(record[key]) and record[key] >= 0
+        big, small = steps[0][0]["update_norm_adapter"], steps[2][0]["update_norm_adapter"]
+        assert 0 < big <= 1e-3 * np.sqrt(params.adapter.A.size + params.adapter.B.size)
+        np.testing.assert_allclose(big / small, 10.0, rtol=1e-3)
+        assert steps[0][0]["update_norm_soft_prompt"] == steps[2][0]["update_norm_soft_prompt"]
 
     def test_dev_loss_improves_on_overfit_task(self, demo_model, params):
         result = train(self.quick_config(epochs=6), overfit_setup(demo_model), demo_model, params)
