@@ -64,7 +64,6 @@ DEFAULTS: dict = {
     "adapter": {name: _default(init_pspt_params, name)
                 for name in ("soft_prompt_len", "rank", "alpha", "hard_prompt")},
     "scoring": {
-        "score_mode": "sum",
         "upr_prompt": DEFAULT_UPR_PROMPT,
         "upr_example_question": None,
         "upr_example_passage": None,
@@ -240,11 +239,11 @@ def cmd_train(config: dict, args) -> int:
 
 
 def _build_scorer(config: dict, args, model):
-    mode, prompt = config["scoring"]["score_mode"], config["scoring"]["upr_prompt"]
+    prompt = config["scoring"]["upr_prompt"]
     if args.scorer == "pspt":
         params = load_params(_out_path(config, "params_checkpoint", args.params))
         check_params_fit(params, model)
-        return make_pspt_scorer(model, params, mode=mode)
+        return make_pspt_scorer(model, params)
     if args.scorer == "upr_inst":
         ex_q = config["scoring"]["upr_example_question"]
         ex_d = config["scoring"]["upr_example_passage"]
@@ -253,7 +252,7 @@ def _build_scorer(config: dict, args, model):
                               "and scoring.upr_example_passage")
         # UPR-Inst is UPR whose prompt ends with one in-context passage and question
         prompt = " ".join([prompt, ex_d, SEPARATOR_TEXT, ex_q])
-    return make_upr_scorer(model, prompt_text=prompt, mode=mode)
+    return make_upr_scorer(model, prompt_text=prompt)
 
 
 def cmd_rerank(config: dict, args) -> int:

@@ -71,6 +71,14 @@ class QaDataset:
         return [q.text for q in self.questions] + list(self._passage_texts.values())
 
 
+def _checked_id(line_no: int, kind: str, value) -> str:
+    """`value` as an id that a run file's whitespace-separated line can hold."""
+    text = str(value)
+    if text.split() != [text]:
+        raise ParseError(line_no, f"{kind} {text!r} is empty or contains whitespace")
+    return text
+
+
 def _parse_question_record(line_no: int, rec) -> Question:
     if not isinstance(rec, dict):
         raise ParseError(line_no, "record is not a JSON object")
@@ -87,7 +95,7 @@ def _parse_question_record(line_no: int, rec) -> Question:
         for fld in ("passage_id", "text", "relevant"):
             if fld not in p:
                 raise ParseError(line_no, f"passage missing required field {fld!r}")
-        pid = str(p["passage_id"])
+        pid = _checked_id(line_no, "passage_id", p["passage_id"])
         if pid in seen:
             raise ParseError(line_no, f"duplicate passage_id {pid!r}")
         seen.add(pid)
@@ -95,7 +103,8 @@ def _parse_question_record(line_no: int, rec) -> Question:
             raise ParseError(line_no, f"passage {pid!r}: relevant must be true or false, "
                                       f"got {p['relevant']!r}")
         passages.append(Passage(pid, str(p["text"]), p["relevant"]))
-    return Question(str(rec["question_id"]), str(rec["question_text"]), passages)
+    return Question(_checked_id(line_no, "question_id", rec["question_id"]),
+                    str(rec["question_text"]), passages)
 
 
 def load_dataset(path) -> QaDataset:
@@ -176,10 +185,11 @@ def read_run_file(path) -> RetrievalRun:
             if stripped.startswith("{"):
                 try:
                     rec = json.loads(stripped)
-                    qid, rank = str(rec["query_id"]), rec["rank"]
+                    qid, rank = _checked_id(line_no, "query_id", rec["query_id"]), rec["rank"]
                     if not isinstance(rank, int) or isinstance(rank, bool):
                         raise ValueError(f"rank {rank!r} is not an integer")
-                    entry = RunEntry(str(rec["passage_id"]), rank, float(rec["score"]))
+                    entry = RunEntry(_checked_id(line_no, "passage_id", rec["passage_id"]), rank,
+                                     float(rec["score"]))
                     line_tag = str(rec.get("tag", "run"))
                 except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                     raise ParseError(line_no, f"bad JSON run record: {exc}") from exc

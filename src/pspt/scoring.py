@@ -6,18 +6,19 @@ the UPR baselines score through one primitive: PSPT passes the trainable
 soft prompt and adapted passage embeddings, UPR a hard prompt's token
 embeddings and the frozen passage embeddings. UPR-Inst is UPR whose
 prompt text ends with one in-context example passage and question.
-A score is the summed log-likelihood; `ListScorer` applies the score
-mode ("sum" or "mean" over question tokens). Reranking takes its scores
-from one `score_many` call per candidate list.
+A score is the summed log-likelihood. Reranking takes its scores from
+one `score_many` call per candidate list.
 
-Pairs are scored together, one question per passage: the prefix is the
-root segment of one packed forward, computed once, and each (passage,
-question) pair is a segment that continues it, seeing the prefix but no
-other pair. A passage that several pairs of the forward use is computed
-once too, as a segment that their question segments continue. A
-candidate list repeats one question and no passage; a training step or
-dev group packs many questions, and a training step repeats each
-positive as the other questions' negative.
+Pairs are scored together, one question per passage, in packed forwards
+of at most about MAX_PACKED_ROWS rows, cut here for candidate lists,
+training steps and dev passes alike: the prefix is the root segment of
+each forward, computed once, and each (passage, question) pair is a
+segment that continues it, seeing the prefix but no other pair. A
+passage that several pairs of the forward use is computed once too, as a
+segment that their question segments continue. A candidate list repeats
+one question and no passage; a training step or dev pass packs many
+questions, and a training step repeats each positive as the other
+questions' negative.
 
 Only the rows that predict question tokens are read: the model's last
 layer runs past its keys and values for those rows alone, and only they
@@ -41,12 +42,12 @@ from .tensor import Tensor
 
 DEFAULT_UPR_PROMPT = "Please generate question for this passage:"
 
-# Rows per packed forward in ListScorer.score_many. A forward holds a few
-# activation arrays of its full row count at once, so this bounds scoring
-# memory on long passages: ten UPR-scored passages of ~150 tokens (1632
-# rows) peak at 5.1 MB of numpy allocations (tracemalloc) in one forward
-# and 2.0 MB in 512-row slices at dim 64 with 2 layers. Short-passage
-# lists fit in one forward.
+# Rows per packed forward of every scoring call, counting passage, separator
+# and question rows per pair. A forward holds a few activation arrays of
+# its full row count at once, so this bounds scoring memory: ten UPR-scored
+# passages of ~150 tokens (1632 rows) peak at 5.1 MB of numpy allocations
+# (tracemalloc) in one forward and 2.0 MB in 512-row slices at dim 64 with
+# 2 layers. Short-passage lists and small training steps fit in one forward.
 MAX_PACKED_ROWS = 512
 
 
@@ -58,28 +59,46 @@ class Candidate:
     retriever_score: float
 
 
+def _groups(items: list, rows: list[int], max_rows: int) -> list[list]:
+    """Consecutive runs of items whose segments, of `rows[i]` rows for item
+    i, total at most max_rows rows (one item may exceed it alone)."""
+    groups: list[list] = []
+    total = max_rows
+    for d, n in zip(items, rows):
+        if total + n > max_rows:
+            groups.append([])
+            total = 0
+        groups[-1].append(d)
+        total += n
+    return groups
+
+
 def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
                    embed_passages) -> Tensor:
     """Log-likelihood of each passage's question after `prefix` and the
-    passage, one entry per passage, from one packed forward in which the
-    prefix is the root segment, computed once. `question_ids` holds one
-    question per passage; `embed_passages` maps passage ids to one input
-    row per id."""
+    passage, one entry per passage, from one packed forward per
+    MAX_PACKED_ROWS rows of consecutive pairs, in which the prefix is the
+    root segment, computed once. `question_ids` holds one question per
+    passage; `embed_passages` maps passage ids to one input row per id."""
     if not passages:
         raise ContractError("scoring needs at least one passage")
     if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
         raise ContractError("passages must be a list of token-id lists")
-    packed = assemble_segments(model, list(zip(passages, question_ids, strict=True)),
-                               embed_passages, prefix)
-    # each passage's targets, padded with its last one to the longest question and masked out
-    mask = np.arange(max(map(len, question_ids))) < np.array([[len(q)] for q in question_ids])
-    picks = np.cumsum(mask).reshape(mask.shape) - 1
-    rows = np.asarray(packed.target_positions)[picks]
-    logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, packed.parents, rows)
-    flat = T.reshape(logprobs, (rows.size, model.config.vocab_size))
-    picked = T.take_entries(flat, np.arange(rows.size).reshape(rows.shape),
-                            np.asarray(packed.target_ids)[picks])
-    return T.tsum(T.mul(picked, mask.astype(model.dtype)), axis=1)
+    pairs = list(zip(passages, question_ids, strict=True))
+    sizes = [len(d) + SEPARATOR_ROWS + len(q) for d, q in pairs]
+    scores = []
+    for group in _groups(pairs, sizes, MAX_PACKED_ROWS):
+        packed = assemble_segments(model, group, embed_passages, prefix)
+        # each pair's targets, padded with its last one to the longest question and masked out
+        mask = np.arange(max(len(q) for _, q in group)) < np.array([[len(q)] for _, q in group])
+        picks = np.cumsum(mask).reshape(mask.shape) - 1
+        rows = np.asarray(packed.target_positions)[picks]
+        logprobs = model.forward_logprobs(packed.embeddings, packed.lengths, packed.parents, rows)
+        flat = T.reshape(logprobs, (rows.size, model.config.vocab_size))
+        picked = T.take_entries(flat, np.arange(rows.size).reshape(rows.shape),
+                                np.asarray(packed.target_ids)[picks])
+        scores.append(T.tsum(T.mul(picked, mask.astype(model.dtype)), axis=1))
+    return T.concat_rows(scores)
 
 
 def question_loglik(question_ids, passages, params: PsptParams, model: MicroLM) -> Tensor:
@@ -109,49 +128,29 @@ def score_upr(question_ids, passage_ids, model: MicroLM,
     return float(hard_prompt_loglik([question_ids], [passage_ids], model, prompt_text).data[0])
 
 
-def _groups(items: list, rows: list[int], max_rows: int) -> list[list]:
-    """Consecutive runs of items whose segments, of `rows[i]` rows for item
-    i, total at most max_rows rows (one item may exceed it alone)."""
-    groups: list[list] = []
-    total = max_rows
-    for d, n in zip(items, rows):
-        if total + n > max_rows:
-            groups.append([])
-            total = 0
-        groups[-1].append(d)
-        total += n
-    return groups
-
-
 class ListScorer:
-    """Scores a candidate list with `score_many`: one packed forward per
-    MAX_PACKED_ROWS rows, encoding the question once. Calling it scores one
-    passage; perfbench's float64 correctness gate does."""
+    """Scores a candidate list with one `score_many` call of the scoring
+    primitive, encoding the question once. Calling it scores one passage;
+    perfbench's float64 correctness gate does."""
 
-    def __init__(self, model: MicroLM, mode: str, loglik):
-        if mode not in ("sum", "mean"):
-            raise ConfigError(f"score mode must be 'sum' or 'mean', got {mode!r}")
-        self.model, self.mode, self._loglik = model, mode, loglik
+    def __init__(self, model: MicroLM, loglik):
+        self.model, self._loglik = model, loglik
 
     def score_many(self, question_text: str, passage_texts: list[str]) -> list[float]:
         q = self.model.vocab.encode(question_text)
         passages = [self.model.vocab.encode(t) for t in passage_texts]
-        rows = [len(d) + SEPARATOR_ROWS + len(q) for d in passages]
-        div = len(q) if self.mode == "mean" else 1
-        return [float(s) / div for group in _groups(passages, rows, MAX_PACKED_ROWS)
-                for s in self._loglik([q] * len(group), group).data]
+        return [float(s) for s in self._loglik([q] * len(passages), passages).data]
 
     def __call__(self, question_text: str, passage_text: str) -> float:
         return self.score_many(question_text, [passage_text])[0]
 
 
-def make_pspt_scorer(model: MicroLM, params: PsptParams, mode: str = "sum") -> ListScorer:
-    return ListScorer(model, mode, lambda q, ds: question_loglik(q, ds, params, model))
+def make_pspt_scorer(model: MicroLM, params: PsptParams) -> ListScorer:
+    return ListScorer(model, lambda q, ds: question_loglik(q, ds, params, model))
 
 
-def make_upr_scorer(model: MicroLM, prompt_text: str = DEFAULT_UPR_PROMPT,
-                    mode: str = "sum") -> ListScorer:
-    return ListScorer(model, mode, lambda q, ds: hard_prompt_loglik(q, ds, model, prompt_text))
+def make_upr_scorer(model: MicroLM, prompt_text: str = DEFAULT_UPR_PROMPT) -> ListScorer:
+    return ListScorer(model, lambda q, ds: hard_prompt_loglik(q, ds, model, prompt_text))
 
 
 def _validate_candidates(candidates: list[Candidate]) -> None:

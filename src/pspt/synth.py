@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import tensor as T
 from .adapter import SEPARATOR_TEXT
-from .errors import EXIT_OK, ConfigError, PsptError, report_error
+from .errors import EXIT_OK, ConfigError, DataError, PsptError, report_error
 from .evaluation import Passage, QaDataset, Question, bm25_run, save_dataset, write_run_file
 
 
@@ -131,6 +131,8 @@ def pack_sequences(units: list[list[int]], target_len: int, seed: int,
     and scoring with a long soft prompt would run on untrained position
     embeddings.
     """
+    if not any(map(len, units)):
+        raise DataError("no unit to pack holds a token")
     rng = T.make_rng(seed, 41)
     n_sequences = n_sequences if n_sequences is not None else max(1, len(units))
     packed = []

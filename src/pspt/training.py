@@ -1,14 +1,14 @@
 """Adapter-parameter training with the combined pointwise + pairwise loss.
 
-Each step scores its whole in-batch-expanded batch in one packed forward,
-in which each distinct passage is encoded once however many of the
-batch's questions it serves, averages the per-pair loss,
+Each step scores its whole in-batch-expanded batch with one scoring
+call, which encodes each distinct passage once per forward however many
+of the batch's questions it serves, averages the per-pair loss,
 backpropagates into the soft prompt and adapter only, clips the global
 gradient norm (logged with whether it clipped), and applies Adam with
 linearly decaying learning rates (logging the norm of the update to the
-soft prompt and to the adapter). A dev pass is one packed forward per
-MAX_PACKED_ROWS rows of dev pairs. Early stopping keeps the parameter
-snapshot with the best dev loss.
+soft prompt and to the adapter). A dev pass is one scoring call over all
+dev pairs; scoring cuts each call into forwards of at most ~512 rows.
+Early stopping keeps the parameter snapshot with the best dev loss.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import SEPARATOR_ROWS, PsptParams
+from .adapter import PsptParams
 from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
 from .model import MicroLM, Vocabulary
 from .optim import Adam, clip_global_norm, trainable
-from .scoring import MAX_PACKED_ROWS, _groups, question_loglik
+from .scoring import question_loglik
 from .tensor import Tensor
 
 logger = logging.getLogger(__name__)
@@ -174,10 +174,10 @@ def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
 
 def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroLM,
                 config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean pair-level loss from one packed forward: every question's
-    positive and all of its negatives are scored by one question_loglik
-    call, which encodes a passage that several questions use once, and
-    one _terms call turns its scores into the loss terms."""
+    """Mean pair-level loss: every question's positive and all of its
+    negatives are scored by one question_loglik call, which encodes a
+    passage that several questions of one forward use once, and one
+    _terms call turns its scores into the loss terms."""
     groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
         groups.setdefault((p.question_id, p.positive_id), []).append(p)
@@ -208,12 +208,9 @@ def write_train_log(log: list[dict], path) -> None:
 
 def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: MicroLM,
               config: TrainConfig) -> float:
-    """Mean loss_total over the instances, from one packed forward per
-    MAX_PACKED_ROWS rows of their (positive, negative) segments."""
-    rows = [len(i.positive) + len(i.negative) + 2 * (SEPARATOR_ROWS + len(i.question))
-            for i in instances]
-    return sum(_batch_loss(group, params, model, config)[0].item() * len(group)
-               for group in _groups(instances, rows, MAX_PACKED_ROWS)) / len(instances)
+    """Mean loss_total over the instances, from one scoring call over their
+    (positive, negative) pairs."""
+    return _batch_loss(instances, params, model, config)[0].item()
 
 
 def _update_norm(tensors: list[Tensor], before: list[np.ndarray]) -> float:

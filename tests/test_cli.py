@@ -171,6 +171,15 @@ class TestConfig:
         assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
         assert f"unknown config keys: adapter.{key}" in capsys.readouterr().err
 
+    def test_deleted_score_mode_key_is_exit_1(self, workspace, tmp_path, capsys):
+        # "mean" was "sum" divided by the question length, which every candidate of
+        # a list shares, so it never changed a ranking
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"scoring": {"score_mode": "sum"},
+                                    "paths": {"dataset": str(workspace["dataset_path"])}}))
+        assert main(["--config", str(path), "init-model", "--out", str(tmp_path / "m")]) == 1
+        assert "unknown config keys: scoring.score_mode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["dataset", "output_dir"])
     def test_nul_in_a_config_path_is_exit_1(self, tmp_path, capsys, key):
         path = tmp_path / "c.json"
@@ -502,6 +511,32 @@ class TestMalformedInput:
         bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
         assert main(["--config", workspace["config"], "eval", "--run", str(bad)]) == 2
         assert "line 1: bad JSON run record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, value", [("question_id", "q 1"), ("question_id", ""),
+                                              ("passage_id", "d 1"), ("passage_id", "")])
+    def test_id_a_run_line_cannot_hold_is_data_error(self, workspace, trained, tmp_path, capsys,
+                                                     where, value):
+        # such an id would be written into a run line that read_run_file cannot split back
+        lines = workspace["dataset_path"].read_text().splitlines()
+        record = json.loads(lines[0])
+        if where == "question_id":
+            record["question_id"] = value
+        else:
+            record["passages"][0]["passage_id"] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["paths"]["output_dir"] = str(tmp_path / "out")
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(config))
+        run_out = tmp_path / "o.run"
+        assert main(["--config", str(cpath), "rerank", "--dataset", str(bad),
+                     "--run-in", workspace["run"], "--run-out", str(run_out), "--scorer", "upr",
+                     "--checkpoint", str(trained["model"])]) == 2
+        assert main(["--config", str(cpath), "eval", "--dataset", str(bad),
+                     "--run", workspace["run"]]) == 2
+        assert capsys.readouterr().err.count("is empty or contains whitespace") == 2
+        assert not run_out.exists() and not (tmp_path / "out").exists()
 
     def test_passage_that_is_not_an_object_is_data_error(self, workspace, tmp_path):
         lines = workspace["dataset_path"].read_text().splitlines()

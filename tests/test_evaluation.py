@@ -67,6 +67,15 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("qid, pid", [("q 1", "p1"), ("", "p1"), ("q1", "p 1"),
+                                          ("q1", ""), ("q1", "p\t1"), ("q1\u3000", "p1")])
+    def test_id_a_run_line_cannot_hold_rejected(self, tmp_path, qid, pid):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [make_record("q0", "x", [("p0", "a", True)]),
+                           make_record(qid, "x", [(pid, "a", True)])])
+        with pytest.raises(ParseError, match="line 2: .* is empty or contains whitespace"):
+            load_dataset(path)
+
     def test_roundtrip_through_save(self, tmp_path):
         ds = QaDataset([Question("q1", "hello", [Passage("p1", "world", True)])])
         path = tmp_path / "d.jsonl"
@@ -345,6 +354,15 @@ class TestRunFiles:
         write_lines(path, lines)
         run = read_run_file(path)
         assert run.tag == "jr" and run.ranked_ids("q1") == ["a", "b"]
+
+    @pytest.mark.parametrize("field, value", [("query_id", "q 1"), ("query_id", ""),
+                                              ("passage_id", "a b"), ("passage_id", "")])
+    def test_jsonl_id_a_trec_line_cannot_hold_rejected(self, tmp_path, field, value):
+        path = tmp_path / "run.jsonl"
+        record = {"query_id": "q1", "passage_id": "a", "rank": 1, "score": 1.0, field: value}
+        write_lines(path, [json.dumps(record)])
+        with pytest.raises(ParseError, match="line 1: .* is empty or contains whitespace"):
+            read_run_file(path)
 
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -74,12 +74,6 @@ class TestScorePspt:
         got = score_pspt(q, d, params, demo_model)
         np.testing.assert_allclose(got, expected, rtol=1e-6)
 
-    def test_mean_mode_divides_by_question_length(self, demo_model, params):
-        q, d = "w10 w11 w12 w13", "w20 w21"
-        s_sum = make_pspt_scorer(demo_model, params, mode="sum")(q, d)
-        s_mean = make_pspt_scorer(demo_model, params, mode="mean")(q, d)
-        np.testing.assert_allclose(s_mean, s_sum / 4, rtol=1e-7)
-
     def test_sum_scores_non_positive(self, demo_model, params):
         rng = T.make_rng(15)
         for _ in range(10):
@@ -90,10 +84,6 @@ class TestScorePspt:
     def test_empty_question_rejected(self, demo_model, params):
         with pytest.raises(ContractError):
             score_pspt([], [4], params, demo_model)
-
-    def test_bad_mode_rejected(self, demo_model, params):
-        with pytest.raises(ConfigError):
-            make_pspt_scorer(demo_model, params, mode="median")
 
 
 class TestScoreUpr:
@@ -157,8 +147,7 @@ class TestBatchedScoring:
 
     def test_scorer_score_many_matches_call(self, demo_model, params):
         texts = ["w1 w2 w3", "w4", "w5 w6 w7 w8 w9 w10 w11", "w12 w13"]
-        for scorer in (make_upr_scorer(demo_model), make_pspt_scorer(demo_model, params),
-                       make_upr_scorer(demo_model, mode="mean")):
+        for scorer in (make_upr_scorer(demo_model), make_pspt_scorer(demo_model, params)):
             many = scorer.score_many("w1 w2", texts)
             one = [scorer("w1 w2", t) for t in texts]
             np.testing.assert_allclose(many, one, rtol=1e-5, atol=1e-6)
@@ -169,17 +158,19 @@ class TestBatchedScoring:
         # a segment is 6 passage + 2 separator + 2 question rows; the budget
         # fits two segments per forward
         segment_rows = 6 + 2 + 2
-        for scorer, name, fn in (
-                (make_upr_scorer(demo_model), "hard_prompt_loglik", hard_prompt_loglik),
-                (make_pspt_scorer(demo_model, params), "question_loglik", question_loglik)):
+        upr_prefix = len(demo_model.vocab.encode(DEFAULT_UPR_PROMPT))
+        forward = demo_model.forward_logprobs
+        for scorer, prefix in ((make_upr_scorer(demo_model), upr_prefix),
+                               (make_pspt_scorer(demo_model, params), params.soft_prompt.length)):
             whole = scorer.score_many("w1 w2", texts)
-            calls = []
+            rows = []
             with monkeypatch.context() as patch:
                 patch.setattr(scoring, "MAX_PACKED_ROWS", 2 * segment_rows + 1)
-                patch.setattr(scoring, name,
-                              lambda q, ds, *a: calls.append(len(ds)) or fn(q, ds, *a))
+                patch.setattr(demo_model, "forward_logprobs",
+                              lambda x, *a: rows.append(x.shape[0]) or forward(x, *a))
                 np.testing.assert_allclose(scorer.score_many("w1 w2", texts), whole, rtol=1e-5)
-            assert calls == [2, 2, 2, 1], name
+            # one forward per pair of passages, each carrying the prefix once
+            assert rows == [prefix + n * segment_rows for n in (2, 2, 2, 1)], prefix
 
     def test_passages_must_be_id_lists(self, demo_model, params):
         with pytest.raises(ContractError):
@@ -408,5 +399,42 @@ class TestQuestionRowsOnlyGradients:
 
         monkeypatch.setattr(model, "forward_logprobs", full_then_gather)
         for got, want in zip(fast, gradients(), strict=True):
+            assert np.abs(want).max() > 0
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+class TestRowBudgetInTrainingSteps:
+    def test_split_step_equals_one_unbounded_forward(self, demo_model, params, monkeypatch):
+        """A training-step-shaped call (several questions, a passage shared
+        by two of them) over a small row budget takes several forwards, and
+        its scores and e1, A and B gradients equal one unbounded forward's
+        (float64)."""
+        model = demo_model.astype(np.float64)
+        theta = params.astype(np.float64)
+        theta.adapter.B.data = T.make_rng(23).normal(0, 0.1, theta.adapter.B.shape)
+        qa, qb, qc = [10, 11, 12], [13, 14], [15, 16, 17, 18]
+        pa, pb, pc = [20, 21, 22, 23], [24, 25, 26], [27, 28, 29, 30, 31]
+        # each question's positive, then its negatives; pa and pb serve qa and qb in
+        # the first of two 45-row forwards, and pa serves qc in the second
+        questions = [qa, qa, qa, qb, qb, qb, qc, qc]
+        passages = [pa, pb, [32, 33], pb, pa, [34], pc, pa]
+        weights = T.make_rng(24).normal(0, 1, len(passages))
+        forward, forwards = model.forward_logprobs, []
+        monkeypatch.setattr(model, "forward_logprobs",
+                            lambda *a: forwards.append(1) or forward(*a))
+
+        def scores_and_gradients(max_rows):
+            monkeypatch.setattr(scoring, "MAX_PACKED_ROWS", max_rows)
+            forwards.clear()
+            tensors = list(theta.tensors().values())
+            with trainable(tensors):
+                scores = question_loglik(questions, passages, theta, model)
+                T.backward(T.tsum(T.mul(scores, weights)))
+                return [scores.data.copy()] + [t.grad.copy() for t in tensors], len(forwards)
+
+        split, n_split = scores_and_gradients(45)
+        whole, n_whole = scores_and_gradients(10**9)
+        assert n_split > 1 and n_whole == 1
+        for got, want in zip(split, whole, strict=True):
             assert np.abs(want).max() > 0
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

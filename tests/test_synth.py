@@ -2,7 +2,7 @@
 
 import pytest
 
-from pspt.errors import ConfigError
+from pspt.errors import ConfigError, DataError
 from pspt.evaluation import save_dataset, load_dataset
 from pspt.model import Vocabulary, tokenize_text
 from pspt.synth import (
@@ -112,6 +112,11 @@ class TestPacking:
         vocab = Vocabulary.from_texts(dataset.texts())
         units = [vocab.encode(t) for t in pretraining_texts(dataset)]
         assert pack_sequences(units, 50, seed=2) == pack_sequences(units, 50, seed=2)
+
+    @pytest.mark.parametrize("units", [[], [[]], [[], []]])
+    def test_no_token_to_pack_is_data_error(self, units):
+        with pytest.raises(DataError, match="no unit to pack holds a token"):
+            pack_sequences(units, 5, seed=0)
 
     def test_pretraining_texts_cover_positives(self, dataset):
         texts = pretraining_texts(dataset)
