@@ -78,6 +78,10 @@ def init_soft_prompt(text: str, length: int, model: MicroLM) -> SoftPrompt:
     """Soft prompt rows are the hard prompt's token embeddings, cycled."""
     if length < 1:
         raise ConfigError("soft prompt length must be at least 1")
+    if length + SEPARATOR_ROWS + 1 > model.config.max_seq_len:
+        raise ConfigError(f"soft prompt length {length} leaves no room for the separator "
+                          f"({SEPARATOR_ROWS}) and a question in max_seq_len "
+                          f"{model.config.max_seq_len}")
     ids = model.vocab.encode(text)
     if not ids:
         raise ConfigError(f"hard prompt {text!r} tokenizes to nothing")

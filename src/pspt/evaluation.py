@@ -304,61 +304,26 @@ def hit_at_k(ranked_ids, relevant_ids, k: int) -> int:
 # Paired t-test
 # --------------------------------------------------------------------------
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    # Lentz's algorithm for the incomplete beta continued fraction
-    max_iter, eps, tiny = 300, 3e-14, 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log(1.0 - x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
 def student_t_two_sided_p(t: float, df: int) -> float:
-    """P(|T| >= |t|) for Student's t with df degrees of freedom."""
+    """P(|T| >= |t|) for Student's t with an integer df >= 1.
+
+    Sums the exact finite series of Abramowitz & Stegun 26.7.3 (odd df)
+    and 26.7.4 (even df) for P(|T| < |t|) in theta = atan(|t| / sqrt(df)),
+    with df // 2 terms. The result is 1 minus that sum, so a p below
+    about 1e-15 reads 0.0.
+    """
     if df < 1:
         raise ContractError("degrees of freedom must be at least 1")
-    x = df / (df + t * t)
-    return min(1.0, max(0.0, regularized_incomplete_beta(df / 2.0, 0.5, x)))
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos, odd = math.cos(theta), df % 2
+    term, series = (cos if odd else 1.0), 0.0
+    for k in range(df // 2):
+        series += term
+        term *= cos * cos * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+    inside = math.sin(theta) * series
+    if odd:
+        inside = 2.0 / math.pi * (theta + inside)
+    return min(1.0, max(0.0, 1.0 - inside))
 
 
 def paired_t_test(per_query_a, per_query_b) -> float:

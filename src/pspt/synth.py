@@ -38,6 +38,8 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_topics < 1 or self.n_bridge_words < 1:
             raise ConfigError(f"n_topics {self.n_topics} and n_bridge_words "
                               f"{self.n_bridge_words} must be at least 1")

@@ -85,6 +85,10 @@ class TrainConfig:
                 f"in_batch_negatives {self.in_batch_negatives} exceeds batch_size {self.batch_size}")
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ConfigError("dev_fraction must lie in [0, 1)")
+        weights = (self.point_weight, self.pair_weight)
+        if min(weights) < 0 or max(weights) == 0:
+            raise ConfigError(f"point_weight and pair_weight {weights} must be "
+                              "non-negative and not both 0")
 
 
 def build_instances(dataset: QaDataset, seed: int, sample_size: int,

@@ -5,6 +5,7 @@ import pytest
 
 from pspt import tensor as T
 from pspt.adapter import (
+    SEPARATOR_ROWS,
     SEPARATOR_TEXT,
     assemble_input,
     assemble_segments,
@@ -49,6 +50,12 @@ class TestSoftPromptInit:
     def test_empty_hard_prompt_rejected(self, demo_model):
         with pytest.raises(ConfigError):
             init_soft_prompt("   ", 4, demo_model)
+
+    def test_length_must_leave_room_for_separator_and_one_question_token(self, demo_model):
+        longest = demo_model.config.max_seq_len - SEPARATOR_ROWS - 1
+        assert init_soft_prompt("please", longest, demo_model).e1.shape[0] == longest
+        with pytest.raises(ConfigError, match="no room"):
+            init_soft_prompt("please", longest + 1, demo_model)
 
     def test_trainable(self, demo_model):
         assert not init_soft_prompt("please", 3, demo_model).e1.requires_grad

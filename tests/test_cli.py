@@ -273,6 +273,18 @@ class TestInitModel:
         assert "exceeds embedding width" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_soft_prompt_that_cannot_fit_is_config_error_before_saving(self, workspace,
+                                                                       tmp_path, capsys):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["max_seq_len"] = 24
+        config["adapter"]["soft_prompt_len"] = 30
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 1
+        assert "config error: soft prompt length 30" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(workspace):
@@ -314,6 +326,24 @@ class TestTrain:
         saved = load_params(theta0)
         for name, tensor in fresh.tensors().items():
             np.testing.assert_array_equal(saved.tensors()[name].data, tensor.data)
+
+    @pytest.mark.parametrize("section, values, message", [
+        ("adapter", {"soft_prompt_len": 94}, "soft prompt length 94"),  # 94 + 2 + 1 > 96
+        ("train", {"point_weight": 0.0, "pair_weight": 0.0}, "point_weight and pair_weight"),
+        ("train", {"pair_weight": -1.0}, "point_weight and pair_weight"),
+    ], ids=["soft-prompt-cannot-fit", "both-weights-zero", "negative-weight"])
+    def test_config_that_cannot_train_is_exit_1_before_writing(self, workspace, trained,
+                                                                tmp_path, capsys, section,
+                                                                values, message):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config[section].update(values)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        theta, log = tmp_path / "theta.ckpt", tmp_path / "log.jsonl"
+        assert main(["--config", str(path), "train", "--checkpoint", str(trained["model"]),
+                     "--out", str(theta), "--log", str(log)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not theta.exists() and not log.exists()
 
     def test_log_is_jsonl_with_step_and_epoch_records(self, trained):
         records = [json.loads(line) for line in trained["log"].read_text().splitlines()]

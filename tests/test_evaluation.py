@@ -236,8 +236,21 @@ class TestPairedTTest:
         assert abs(paired_t_test(self.FIX_A, self.FIX_B) - self.FIX_P) < 1e-4
 
     def test_matches_numeric_integration_over_range(self):
-        for t, df in [(0.3, 4), (1.1, 9), (2.7, 19), (3.3, 30), (0.0, 7)]:
+        for t, df in [(0.3, 4), (1.1, 9), (2.7, 19), (3.3, 30), (0.0, 7), (2.5, 78), (0.7, 79),
+                      (1.96, 3609)]:
             assert abs(student_t_two_sided_p(t, df) - two_sided_p_by_integration(t, df)) < 1e-6
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, -1.0, 2.5, 12.0, 150.0])
+    def test_closed_forms_for_one_and_two_degrees_of_freedom(self, t):
+        # the integration window [t, t + 60] misses ~1e-2 of tail mass at df 1 and 2
+        assert student_t_two_sided_p(t, 1) == pytest.approx(1 - 2 * math.atan(abs(t)) / math.pi,
+                                                            abs=1e-14)
+        assert student_t_two_sided_p(t, 2) == pytest.approx(1 - abs(t) / math.sqrt(2 + t * t),
+                                                            abs=1e-14)
+
+    def test_degrees_of_freedom_below_one_rejected(self):
+        with pytest.raises(ContractError):
+            student_t_two_sided_p(1.0, 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError):

@@ -72,12 +72,14 @@ class TestBuilder:
 
     @pytest.mark.parametrize("fields", [
         dict(n_topics=0), dict(n_topics=-1), dict(n_bridge_words=0), dict(n_bridge_words=-2),
-        dict(filler_tokens_min=5, filler_tokens_max=4), dict(filler_tokens_min=-1),
+        dict(filler_tokens_min=5, filler_tokens_max=4), dict(filler_tokens_min=-1), dict(seed=-1),
     ], ids=["no-topics", "negative-topics", "no-bridges", "negative-bridges",
-            "filler-min-above-max", "negative-filler-min"])
+            "filler-min-above-max", "negative-filler-min", "negative-seed"])
     def test_out_of_range_field_rejected(self, fields):
+        # 120 questions over 8 bridges is valid, so each case fails on its own field
         with pytest.raises(ConfigError):
-            build_synthetic_dataset(SynthConfig(n_questions=120, **fields))
+            build_synthetic_dataset(SynthConfig(**{"n_questions": 120, "n_bridge_words": 8,
+                                                   **fields}))
 
     def test_empty_and_single_width_filler_ranges_accepted(self):
         for width in (0, 3):
@@ -136,6 +138,11 @@ class TestMain:
         out = tmp_path / "d.jsonl"
         assert main([str(out), "--bm25-run", str(tmp_path / "b.run"), "--k", k]) == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_exit_1_before_writing(self, tmp_path, capsys):
+        assert main([str(tmp_path / "d.jsonl"), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must be non-negative")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("size", ["0", "400"])

@@ -423,6 +423,15 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(in_batch_negatives=9, batch_size=4).validate()
 
+    @pytest.mark.parametrize("point, pair", [(-0.5, 1.0), (1.0, -1.0), (0.0, 0.0)])
+    def test_loss_weights_that_train_nothing_or_negatively_rejected(self, point, pair):
+        with pytest.raises(ConfigError, match="point_weight and pair_weight"):
+            TrainConfig(point_weight=point, pair_weight=pair).validate()
+
+    @pytest.mark.parametrize("point, pair", [(0.0, 1.0), (1.0, 0.0)])
+    def test_one_loss_weight_at_zero_accepted(self, point, pair):
+        TrainConfig(point_weight=point, pair_weight=pair).validate()
+
     def test_instance_invariants(self):
         with pytest.raises(ContractError):
             TrainingInstance("q", [], "p", [1], "n", [2])
