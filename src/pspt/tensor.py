@@ -10,6 +10,7 @@ for gradient verification.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -278,10 +279,22 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
     every other block's parent 0; a block shared by several continuations
     is computed once, for all of them.
 
+    The work is done once per group of blocks, not once per block: a root
+    block is a group, and so is each child of a root together with all of
+    its descendants (a shared passage and the questions that continue it,
+    wherever their rows lie). A group's queried rows get one score matrix
+    whose columns are the root's rows followed by the group's own rows in
+    row order, with an additive mask (0 or -1e9) on the own columns: row r
+    sees row c iff c's block is r's block or one of its ancestors and
+    c <= r. Masked weights underflow to exactly 0. Where every group is a
+    single block (a prompt and leaf passages, or independent roots), the
+    columns and the mask are those of the block's chain alone, so the
+    arithmetic, and the result, are the same as attending block by block.
+
     q is [..., Q, d] and holds the query side of the key rows `q_rows`,
     sorted and unique (default: all R rows); the result is shaped like q.
-    A block none of whose rows is queried costs nothing but still serves
-    the blocks that continue it.
+    A group none of whose rows is queried costs nothing, and an unqueried
+    block still serves the blocks that continue it.
     """
     if (q.ndim < 2 or q.ndim != k.ndim or k.shape != v.shape
             or q.shape[:-2] + q.shape[-1:] != k.shape[:-2] + k.shape[-1:]):
@@ -297,32 +310,21 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
             or np.any(np.diff(q_rows) <= 0)):
         raise ShapeError(f"query rows must be {q.shape[-2]} sorted, unique rows in "
                          f"[0, {n_keys}), got shape {q_rows.shape}")
-    starts = np.cumsum([0, *sizes])
-    held = np.searchsorted(q_rows, starts)  # block j's queries are q rows held[j]:held[j + 1]
     out = np.empty_like(q.data)
     keep = q.requires_grad or k.requires_grad or v.requires_grad
     saved = []
-    chains: list[list[slice]] = []  # each block's key spans: its ancestors, root first, then itself
-    for j, (n, parent) in enumerate(zip(sizes, parents)):
-        lo = starts[j]
-        keys = (chains[parent] if parent >= 0 else []) + [slice(lo, lo + n)]
-        chains.append(keys)
-        mine = slice(held[j], held[j + 1])
-        if mine.start == mine.stop:
-            continue
+    for mine, keys, n_root, mask in _attention_groups(sizes, parents, q_rows, q.dtype.type):
         kc = np.concatenate([k.data[..., s, :] for s in keys], axis=-2)
         vc = np.concatenate([v.data[..., s, :] for s in keys], axis=-2)
-        # scores become the attention weights in place: one [..., queries, keys] array per block
+        # scores become the attention weights in place: one [..., queries, keys] array per group
         w = q.data[..., mine, :] @ np.swapaxes(kc, -1, -2)
         w *= scale
-        # a query row sees its own block's rows up to itself
-        w[..., kc.shape[-2] - n:] += np.where(np.arange(lo, lo + n) > q_rows[mine, None],
-                                              q.dtype.type(-1e9), q.dtype.type(0))
+        w[..., n_root:] += mask
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         out[..., mine, :] = w @ vc
-        if keep:  # inference keeps one block's temporaries at a time
+        if keep:  # inference keeps one group's temporaries at a time
             saved.append((mine, keys, kc, vc, w))
 
     def backward(g):
@@ -342,6 +344,49 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
                 _accumulate(t, d)
 
     return _make(out, (q, k, v), backward)
+
+
+def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.ndarray, dtype):
+    """Yield block_attention's groups that hold a queried row, in order of
+    their first block: the group's q rows (a slice for a single block, an
+    index array for several), its key spans (the root's rows, then each of
+    its blocks'), the root's row count, and the additive mask of its
+    queried rows over its own columns."""
+    starts = np.cumsum([0, *sizes]).tolist()
+    held = np.searchsorted(q_rows, starts).tolist()  # block j's queries: q rows held[j]:held[j + 1]
+    hide, show = dtype(-1e9), dtype(0)
+    members: dict[int, list[int]] = {}  # each group's first block -> its blocks, in order
+    head: list[int] = []
+    for j, p in enumerate(parents):
+        head.append(j if p < 0 or parents[p] < 0 else head[p])
+        members.setdefault(head[j], []).append(j)
+    for first, blocks in members.items():
+        queried = [j for j in blocks if held[j] < held[j + 1]]
+        if not queried:
+            continue
+        root = parents[first]
+        keys = [slice(starts[root], starts[root + 1])] if root >= 0 else []
+        n_root = sizes[root] if root >= 0 else 0
+        if len(blocks) == 1:  # the block's chain is the root and itself: a causal mask
+            lo, hi = starts[first], starts[first + 1]
+            mine = slice(held[first], held[first + 1])
+            mask = np.where(np.arange(lo, hi) > q_rows[mine, None], hide, show)
+            yield mine, keys + [slice(lo, hi)], n_root, mask
+            continue
+        own = [slice(starts[j], starts[j + 1]) for j in blocks]
+        mine = np.concatenate([np.arange(held[j], held[j + 1]) for j in queried])
+        cols = np.concatenate([np.arange(s.start, s.stop) for s in own])
+        hidden = cols > q_rows[mine, None]  # hides every later block, too
+        # and a row cannot see an earlier block of the group that is not on its chain
+        row_at = list(accumulate((held[j + 1] - held[j] for j in blocks), initial=0))
+        col_at = list(accumulate((sizes[j] for j in blocks), initial=0))
+        chains: dict[int, set[int]] = {}
+        for a, j in enumerate(blocks):
+            chains[j] = chains.get(parents[j], set()) | {j}
+            for b, i in enumerate(blocks[:a]):
+                if i not in chains[j]:
+                    hidden[row_at[a]:row_at[a + 1], col_at[b]:col_at[b + 1]] = True
+        yield mine, keys + own, n_root, np.where(hidden, hide, show)
 
 
 def _add_rows(dst: np.ndarray, spans: list[slice], src: np.ndarray) -> None:
@@ -485,6 +530,13 @@ def finite_diff_grad(
     one-sided differences. Where that gap exceeds 1e-4 of their size (the
     gradient checks' relative tolerance) plus f's rounding noise, the
     coordinate is estimated again at a tenth of the step, down to eps / 100.
+    Smooth curvature also opens the gap, most of all beside a small
+    gradient, but it does not bias the central difference, and smaller
+    steps only add rounding error. So where the gap shrinks about 100-fold
+    at a tenth of the step, as f''·step² does (a kink's shrinks about
+    10-fold, or vanishes once the step no longer reaches it), and the two
+    estimates agree to 1% of the larger step's gap per step, the larger
+    step's estimate is kept.
     """
     if not 1e-6 <= eps <= 1e-3:
         raise ContractError(f"finite_diff_grad eps {eps} outside [1e-6, 1e-3]")
@@ -503,6 +555,7 @@ def finite_diff_grad(
         flat_g = g.reshape(-1)
         for i in range(flat_p.size):
             orig = flat_p[i]
+            last = None  # the previous step's gap and estimate
             for step in (eps, eps / 10, eps / 100):
                 flat_p[i] = orig + step
                 f_plus = value()
@@ -511,8 +564,14 @@ def finite_diff_grad(
                 flat_p[i] = orig
                 gap = abs(f_plus - 2.0 * f0 + f_minus)  # one-sided differences' gap * step
                 noise = 64 * np.finfo(np.float64).eps * max(abs(f0), abs(f_plus), abs(f_minus))
+                estimate = (f_plus - f_minus) / (2.0 * step)
+                if (last is not None and abs(100 * gap - last[0]) <= last[0] / 2 + 100 * noise
+                        and abs(last[1] - estimate) <= (1e-3 * last[0] + noise) / step):
+                    estimate = last[1]  # curvature: the larger step was unbiased
+                    break
                 if gap <= 1e-4 * (abs(f_plus - f0) + abs(f0 - f_minus)) + noise:
                     break
-            flat_g[i] = (f_plus - f_minus) / (2.0 * step)
+                last = gap, estimate
+            flat_g[i] = estimate
         grads.append(g)
     return grads

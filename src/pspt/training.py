@@ -6,9 +6,11 @@ of the batch's questions it serves, averages the per-pair loss,
 backpropagates into the soft prompt and adapter only, clips the global
 gradient norm (logged with whether it clipped), and applies Adam with
 linearly decaying learning rates (logging the norm of the update to the
-soft prompt and to the adapter). A dev pass is one scoring call over all
-dev pairs; scoring cuts each call into forwards of at most ~512 rows.
-Early stopping keeps the parameter snapshot with the best dev loss.
+soft prompt and to the adapter, and the batch's pairwise accuracy and
+mean margin s_pos - s_neg). A dev pass is one scoring call over all dev
+pairs, logged with its loss and pairwise accuracy; scoring cuts each
+call into forwards of at most ~512 rows. Early stopping keeps the
+parameter snapshot with the best dev loss.
 """
 
 from __future__ import annotations
@@ -145,17 +147,19 @@ def expand_in_batch(batch: list[TrainingInstance], m: int) -> list[TrainingInsta
     return pairs
 
 
-def _terms(scores: Tensor, sizes: list[int]) -> tuple[Tensor, Tensor]:
-    """Point terms -s_pos, [Q, 1], and hinges max(0, s_neg - s_pos), one row
-    per negative, from packed scores laid out as one [positive, *negatives]
-    run per question, question i having sizes[i] negatives."""
+def _terms(scores: Tensor, sizes: list[int]) -> tuple[Tensor, Tensor, np.ndarray]:
+    """Point terms -s_pos, [Q, 1], hinges max(0, s_neg - s_pos), one row per
+    negative, and the margins s_pos - s_neg as plain data, one per negative,
+    from packed scores laid out as one [positive, *negatives] run per
+    question, question i having sizes[i] negatives."""
     counts = np.asarray(sizes)
     starts = np.cumsum(1 + counts) - 1 - counts
     column = T.reshape(scores, (-1, 1))
     point = T.neg(T.gather_rows(column, starts))
     negatives = T.gather_rows(column, np.delete(np.arange(scores.shape[0]), starts))
     own = T.gather_rows(point, np.repeat(np.arange(len(counts)), counts))
-    return point, T.relu(T.add(negatives, own))
+    gaps = T.add(negatives, own)
+    return point, T.relu(gaps), -gaps.data[:, 0]
 
 
 def loss_point(question, positive, params: PsptParams, model: MicroLM) -> Tensor:
@@ -171,28 +175,29 @@ def loss_pair(question, positive, negative, params: PsptParams, model: MicroLM) 
 
 def loss_total(question, positive, negative, params: PsptParams, model: MicroLM,
                point_weight: float = 1.0, pair_weight: float = 1.0) -> Tensor:
-    point, pair = _terms(question_loglik([question] * 2, [positive, negative], params, model),
-                         [1])
+    point, pair, _ = _terms(question_loglik([question] * 2, [positive, negative], params, model),
+                            [1])
     return T.add(T.mul(T.tsum(point), point_weight), T.mul(T.tsum(pair), pair_weight))
 
 
 def _batch_loss(pairs: list[TrainingInstance], params: PsptParams, model: MicroLM,
-                config: TrainConfig) -> tuple[Tensor, Tensor, Tensor]:
-    """Mean pair-level loss: every question's positive and all of its
-    negatives are scored by one question_loglik call, which encodes a
-    passage that several questions of one forward use once, and one
-    _terms call turns its scores into the loss terms."""
+                config: TrainConfig) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
+    """Mean pair-level loss, its point and pair parts, and each pair's
+    margin s_pos - s_neg (grouped by question): every question's positive
+    and all of its negatives are scored by one question_loglik call, which
+    encodes a passage that several questions of one forward use once, and
+    one _terms call turns its scores into the loss terms."""
     groups: dict[tuple[str, str], list[TrainingInstance]] = {}
     for p in pairs:
         groups.setdefault((p.question_id, p.positive_id), []).append(p)
     questions = [g[0].question for g in groups.values() for _ in range(1 + len(g))]
     passages = [d for g in groups.values() for d in [g[0].positive, *(p.negative for p in g)]]
     sizes = [len(g) for g in groups.values()]
-    points, hinges = _terms(question_loglik(questions, passages, params, model), sizes)
+    points, hinges, margins = _terms(question_loglik(questions, passages, params, model), sizes)
     point = T.tsum(T.mul(points, np.array(sizes)[:, None] / len(pairs)))  # one per pair
     pair = T.mul(T.tsum(hinges), 1.0 / len(pairs))
     total = T.add(T.mul(point, config.point_weight), T.mul(pair, config.pair_weight))
-    return total, point, pair
+    return total, point, pair, margins
 
 
 @dataclass
@@ -211,10 +216,17 @@ def write_train_log(log: list[dict], path) -> None:
 
 
 def _dev_loss(instances: list[TrainingInstance], params: PsptParams, model: MicroLM,
-              config: TrainConfig) -> float:
-    """Mean loss_total over the instances, from one scoring call over their
+              config: TrainConfig) -> tuple[float, float]:
+    """Mean loss_total over the instances, and the share of them whose
+    positive outscores their negative, from one scoring call over their
     (positive, negative) pairs."""
-    return _batch_loss(instances, params, model, config)[0].item()
+    total, _, _, margins = _batch_loss(instances, params, model, config)
+    return total.item(), _pair_accuracy(margins)
+
+
+def _pair_accuracy(margins: np.ndarray) -> float:
+    """Share of pairs with s_pos > s_neg (a tie counts as wrong)."""
+    return float(np.mean(margins > 0))
 
 
 def _update_norm(tensors: list[Tensor], before: list[np.ndarray]) -> float:
@@ -253,10 +265,12 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
 
     log: list[dict] = []
     best_snapshot = params.astype(e1.dtype)
-    best_dev = _dev_loss(dev_set, params, model, config) if dev_set else None
+    best_dev = None
+    if dev_set:
+        best_dev, accuracy = _dev_loss(dev_set, params, model, config)
+        log.append({"epoch": 0, "dev_loss": best_dev, "dev_pair_accuracy": accuracy,
+                    "best": True})
     best_epoch = 0
-    if best_dev is not None:
-        log.append({"epoch": 0, "dev_loss": best_dev, "best": True})
     bad_epochs = 0
     step = 0
 
@@ -267,7 +281,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
             pairs = expand_in_batch(batch, config.in_batch_negatives)
             scale = 1.0 - step / total_steps
             with trainable(theta):
-                total, point, pair = _batch_loss(pairs, params, model, config)
+                total, point, pair, margins = _batch_loss(pairs, params, model, config)
                 loss_value = total.item()
                 if not math.isfinite(loss_value):
                     raise NumericError(f"non-finite loss at step {step}")
@@ -283,6 +297,8 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 "loss": loss_value,
                 "loss_point": point.item(),
                 "loss_pair": pair.item(),
+                "pair_accuracy": _pair_accuracy(margins),
+                "mean_margin": float(np.mean(margins, dtype=np.float64)),
                 "grad_norm": grad_norm,
                 "clipped": grad_norm > config.grad_clip,
                 "update_norm_soft_prompt": _update_norm([e1], before[:1]),
@@ -290,9 +306,10 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
             })
             step += 1
         if dev_set:
-            dev = _dev_loss(dev_set, params, model, config)
+            dev, accuracy = _dev_loss(dev_set, params, model, config)
             improved = dev < best_dev
-            log.append({"epoch": epoch, "dev_loss": dev, "best": improved})
+            log.append({"epoch": epoch, "dev_loss": dev, "dev_pair_accuracy": accuracy,
+                        "best": improved})
             if improved:
                 best_dev = dev
                 best_epoch = epoch

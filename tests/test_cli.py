@@ -350,8 +350,10 @@ class TestTrain:
         step_records = [r for r in records if "step" in r]
         epoch_records = [r for r in records if "dev_loss" in r]
         assert step_records and epoch_records
-        assert {"lr_g1", "lr_g2", "loss", "loss_point", "loss_pair", "grad_norm",
-                "clipped", "update_norm_soft_prompt", "update_norm_adapter"} <= set(step_records[0])
+        assert {"lr_g1", "lr_g2", "loss", "loss_point", "loss_pair", "pair_accuracy",
+                "mean_margin", "grad_norm", "clipped", "update_norm_soft_prompt",
+                "update_norm_adapter"} <= set(step_records[0])
+        assert all({"dev_loss", "dev_pair_accuracy", "best"} <= set(r) for r in epoch_records)
 
 
 class TestRerank:

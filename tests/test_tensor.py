@@ -233,7 +233,9 @@ class TestFiniteDiff:
         grad = T.finite_diff_grad(lambda p: 1.25, [np.zeros(4)], eps=1e-4)
         np.testing.assert_array_equal(grad[0], np.zeros(4))
 
-    @pytest.mark.parametrize("offset", [0.3, -0.3, 0.95, -0.95, 0.05])
+    # at 0.0909 the kink's second difference, like curvature's, shrinks 100-fold from
+    # eps to eps / 10, but the central differences at the two steps disagree
+    @pytest.mark.parametrize("offset", [0.3, -0.3, 0.95, -0.95, 0.05, 0.0909, -0.0909])
     def test_relu_kink_within_eps_matches_analytic_gradient(self, offset):
         # relu(x - c) has its kink `offset` steps from x; the central difference
         # at eps straddles it and must be re-checked at a smaller step
@@ -247,6 +249,15 @@ class TestFiniteDiff:
 
         grad = T.finite_diff_grad(f, [x.copy()], eps=eps)
         np.testing.assert_allclose(grad[0], w * (x > c), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("x", [1e-5, 1e-4, 0.3])
+    def test_curvature_beside_a_small_gradient_keeps_the_full_step(self, x):
+        # 1 + x²/2 has gradient x; at x = 1e-5 its second difference is large
+        # beside its first differences, yet it is curvature, not a kink, and
+        # steps of 1e-6 or 1e-7 would only add the rounding error of f ~ 1
+        grad = T.finite_diff_grad(lambda p: float(1 + p[0][0] ** 2 / 2), [np.array([x])],
+                                  eps=1e-5)
+        np.testing.assert_allclose(grad[0], [x], rtol=1e-6, atol=0)
 
     def test_eps_bounds_enforced(self):
         with pytest.raises(ContractError):
@@ -298,6 +309,54 @@ def weighted(out, seed=0):
     """Scalar sum(out * W) for a fixed random W, so every entry matters."""
     w = T.make_rng(seed, 1).normal(size=out.shape)
     return T.tsum(T.mul(out, T.Tensor(w)))
+
+
+def per_block_attention(q, k, v, sizes, parents, scale=1.0, q_rows=None):
+    """Reference for T.block_attention: the same op computed one block at a
+    time, each block's queries against the key rows of its own chain."""
+    n_keys = k.shape[-2]
+    q_rows = np.arange(n_keys) if q_rows is None else np.asarray(q_rows, dtype=np.int64)
+    starts = np.cumsum([0, *sizes])
+    held = np.searchsorted(q_rows, starts)
+    out = np.empty_like(q.data)
+    saved = []
+    chains = []
+    for j, (n, parent) in enumerate(zip(sizes, parents)):
+        lo = starts[j]
+        keys = (chains[parent] if parent >= 0 else []) + [slice(lo, lo + n)]
+        chains.append(keys)
+        mine = slice(held[j], held[j + 1])
+        if mine.start == mine.stop:
+            continue
+        kc = np.concatenate([k.data[..., s, :] for s in keys], axis=-2)
+        vc = np.concatenate([v.data[..., s, :] for s in keys], axis=-2)
+        w = q.data[..., mine, :] @ np.swapaxes(kc, -1, -2)
+        w *= scale
+        w[..., kc.shape[-2] - n:] += np.where(np.arange(lo, lo + n) > q_rows[mine, None],
+                                              q.dtype.type(-1e9), q.dtype.type(0))
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        out[..., mine, :] = w @ vc
+        saved.append((mine, keys, kc, vc, w))
+
+    def backward(g):
+        dq, dk, dv = (np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        for mine, keys, kc, vc, w in saved:
+            g_mine = g[..., mine, :]
+            dw = g_mine @ np.swapaxes(vc, -1, -2)
+            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
+            if dq is not None:
+                dq[..., mine, :] = ds @ kc
+            if dk is not None:
+                T._add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q.data[..., mine, :])
+            if dv is not None:
+                T._add_rows(dv, keys, np.swapaxes(w, -1, -2) @ g_mine)
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                T._accumulate(t, d)
+
+    return T._make(out, (q, k, v), backward)
 
 
 class TestBatchedOpsGradients:
@@ -452,3 +511,75 @@ class TestBatchedOpsGradients:
         out = T.block_attention(T.Tensor(np.zeros((2, 0, 3))), kv, kv, [2, 4], [-1, 0],
                                 q_rows=[])
         assert out.shape == (2, 0, 3)
+
+
+class TestGroupedAttention:
+    """block_attention, which attends once per group (a root, or a root's
+    child with all its descendants), against the per-block reference loop."""
+
+    rng = T.make_rng(43)
+    PROMPT_LEAVES = ([4, 3, 2, 5], [-1, 0, 0, 0])
+    EQUAL_ROOTS = ([3, 3, 3], [-1, -1, -1])
+    TREE = TestBatchedOpsGradients.TREE  # groups {0}, {1, 2, 3}, {4}
+    # block 1 has three continuations, whose rows interleave with group {2, 5}
+    FANOUT = ([3, 4, 5, 2, 3, 2, 2], [-1, 0, 0, 1, 1, 2, 1])
+    # a chain 1 -> 2 -> {3, 4} below root 0, and a second root 5 with child 6
+    DEEP = ([3, 4, 2, 3, 2, 2, 3], [-1, 0, 1, 2, 2, -1, 5])
+
+    def run(self, op, tree, dtype, q_rows=None, seed=0):
+        """op's output and the gradients of q, k and v under fixed output weights."""
+        sizes, parents = tree
+        n = sum(sizes) if q_rows is None else len(q_rows)
+        rng = T.make_rng(43, seed)
+        q, k, v = (rng.normal(size=(2, m, 3)).astype(dtype) for m in (n, sum(sizes), sum(sizes)))
+        ts = [T.Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = op(*ts, sizes, parents, dtype(0.6), q_rows)
+        T.backward(T.tsum(T.mul(out, T.Tensor(rng.normal(size=out.shape).astype(dtype)))))
+        return [out.data] + [t.grad for t in ts]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tree, q_rows", [(PROMPT_LEAVES, None), (PROMPT_LEAVES, [1, 4, 5, 13]),
+                                              (EQUAL_ROOTS, None), (EQUAL_ROOTS, [0, 2, 7])],
+                             ids=["prompt-leaves", "prompt-leaves-subset", "equal-roots",
+                                  "equal-roots-subset"])
+    def test_single_block_groups_equal_the_per_block_loop_exactly(self, tree, q_rows, dtype):
+        got = self.run(T.block_attention, tree, dtype, q_rows)
+        want = self.run(per_block_attention, tree, dtype, q_rows)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tree_leaf_groups_equal_the_per_block_loop_exactly(self, dtype):
+        """Rows of the single-block groups {0} and {4}: their outputs and
+        query gradients, and the key and value gradients of block 4, which
+        no other group reads."""
+        got, want = (self.run(op, self.TREE, dtype) for op in (T.block_attention, per_block_attention))
+        leaves = [0, 1, 2, 12, 13]
+        for a, b in zip(got[:2], want[:2]):
+            assert np.array_equal(a[:, leaves], b[:, leaves])
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a[:, 12:], b[:, 12:])
+
+    @pytest.mark.parametrize("tree, q_rows", [
+        (TREE, None), (FANOUT, None), (DEEP, None),
+        (TREE, [2, 8, 10, 11]),  # group {1, 2, 3}'s head block 1 has no queried row
+        (FANOUT, [0, 12, 14, 17, 19, 20]),  # nor has block 1 here, and group {2, 5} only 5
+        (DEEP, [1, 9, 11, 13, 16, 18])],  # blocks 1 and 2 of the chain have none, nor has root 5
+        ids=["tree", "fanout", "deep", "tree-head-unqueried", "fanout-head-unqueried",
+             "deep-chain-unqueried"])
+    def test_multi_block_groups_match_the_per_block_loop(self, tree, q_rows):
+        got = self.run(T.block_attention, tree, np.float64, q_rows)
+        want = self.run(per_block_attention, tree, np.float64, q_rows)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    @pytest.mark.parametrize("tree, q_rows", [(FANOUT, None), (FANOUT, [0, 12, 14, 17, 19, 20]),
+                                              (DEEP, None), (DEEP, [1, 9, 11, 13, 16, 18])],
+                             ids=["fanout", "fanout-subset", "deep", "deep-subset"])
+    def test_gradient_matches_finite_differences(self, tree, q_rows):
+        sizes, parents = tree
+        shape = (2, sum(sizes), 3)
+        q_shape = shape if q_rows is None else (2, len(q_rows), 3)
+        arrays = [self.rng.normal(size=s) for s in (q_shape, shape, shape)]
+        check_gradients(lambda t: weighted(T.block_attention(t[0], t[1], t[2], sizes, parents,
+                                                             0.6, q_rows)), arrays, tol=1e-5)

@@ -16,6 +16,7 @@ from pspt.scoring import score_pspt
 from pspt.training import (
     _batch_loss,
     _dev_loss,
+    _terms,
     TrainConfig,
     TrainingInstance,
     build_instances,
@@ -215,7 +216,7 @@ class TestBatchLoss:
         self.check_mean_of_per_pair_losses(*self.setup(demo_model, negatives=(1, 2, 3)))
 
     def check_mean_of_per_pair_losses(self, model, params, pairs):
-        total, point, pair = _batch_loss(pairs, params, model, TrainConfig(pair_weight=0.5))
+        total, point, pair, _ = _batch_loss(pairs, params, model, TrainConfig(pair_weight=0.5))
         points = [loss_point(p.question, p.positive, params, model).item() for p in pairs]
         hinges = [loss_pair(p.question, p.positive, p.negative, params, model).item()
                   for p in pairs]
@@ -223,6 +224,24 @@ class TestBatchLoss:
         np.testing.assert_allclose(pair.item(), np.mean(hinges), rtol=1e-12)
         np.testing.assert_allclose(total.item(), np.mean(points) + 0.5 * np.mean(hinges),
                                    rtol=1e-12)
+
+    def test_margins_hand_computed(self):
+        # three questions with 2, 1 and 2 negatives: [pos, *negs] runs of scores
+        scores = T.Tensor(np.array([-1.0, -2.0, -0.5, -3.0, -4.0, -2.0, -2.0, -1.0]))
+        point, hinges, margins = _terms(scores, [2, 1, 2])
+        np.testing.assert_array_equal(point.data[:, 0], [1.0, 3.0, 2.0])
+        np.testing.assert_array_equal(margins, [1.0, -0.5, 1.0, 0.0, -1.0])
+        np.testing.assert_array_equal(hinges.data[:, 0], [0.0, 0.5, 0.0, 0.0, 1.0])
+        assert float(np.mean(margins > 0)) == 0.4  # a tie is not a win
+        assert float(np.mean(margins)) == 0.1
+
+    def test_margins_equal_per_pair_score_differences(self, demo_model):
+        model, params, pairs = self.setup(demo_model, negatives=(1, 2, 3))
+        margins = _batch_loss(pairs, params, model, TrainConfig())[3]
+        # _batch_loss groups pairs by question; setup lists them that way already
+        want = [score_pspt(p.question, p.positive, params, model)
+                - score_pspt(p.question, p.negative, params, model) for p in pairs]
+        np.testing.assert_allclose(margins, want, rtol=1e-12)
 
     def test_one_forward_per_batch(self, demo_model):
         model, params, pairs = self.setup(demo_model, question_lengths=(2, 5, 3))
@@ -278,7 +297,7 @@ class TestDevLoss:
         calls = []
         forward = model.forward_logprobs
         model.forward_logprobs = lambda *a, **k: calls.append(1) or forward(*a, **k)
-        got = _dev_loss(instances, params, model, config)
+        got, _ = _dev_loss(instances, params, model, config)
         assert 1 < len(calls) < len(instances)  # more than one MAX_PACKED_ROWS group
         expected = np.mean([loss_total(i.question, i.positive, i.negative, params, model,
                                        0.7, 1.3).item() for i in instances])
@@ -355,6 +374,28 @@ class TestTrain:
         assert 0 < big <= 1e-3 * np.sqrt(params.adapter.A.size + params.adapter.B.size)
         np.testing.assert_allclose(big / small, 10.0, rtol=1e-3)
         assert steps[0][0]["update_norm_soft_prompt"] == steps[2][0]["update_norm_soft_prompt"]
+
+    def test_log_records_pairwise_accuracy_and_margin_reproducibly(self, demo_model, tmp_path):
+        """Each step logs its batch's pairwise accuracy (a multiple of one
+        over its pair count) and mean margin, each epoch its dev pairwise
+        accuracy, and reruns write the same bytes."""
+        config = self.quick_config(epochs=2)
+        logs = []
+        for run in range(2):
+            params = init_pspt_params(demo_model, soft_prompt_len=6, seed=9)
+            result = train(config, overfit_setup(demo_model), demo_model, params)
+            write_train_log(result.log, tmp_path / f"log{run}.jsonl")
+            logs.append((tmp_path / f"log{run}.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+        records = [json.loads(line) for line in logs[0].splitlines()]
+        steps = [r for r in records if "step" in r]
+        epochs = [r for r in records if "dev_loss" in r]
+        # 11 train instances in batches of 4, 4 and 3, with 2 negatives each: 8 or 6 pairs
+        for r in steps:
+            assert r["pair_accuracy"] * 24 == round(r["pair_accuracy"] * 24)
+            assert 0 <= r["pair_accuracy"] <= 1 and math.isfinite(r["mean_margin"])
+        assert [r["epoch"] for r in epochs] == [0, 1, 2]
+        assert all(r["dev_pair_accuracy"] in (0.0, 1.0) for r in epochs)  # one dev instance
 
     def test_dev_loss_improves_on_overfit_task(self, demo_model, params):
         result = train(self.quick_config(epochs=6), overfit_setup(demo_model), demo_model, params)
