@@ -310,10 +310,12 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     Sums the exact finite series of Abramowitz & Stegun 26.7.3 (odd df)
     and 26.7.4 (even df) for P(|T| < |t|) in theta = atan(|t| / sqrt(df)),
     with df // 2 terms. The result is 1 minus that sum, so a p below
-    about 1e-15 reads 0.0.
+    about 1e-15 reads 0.0, as does an infinite t. A NaN t is a ContractError.
     """
     if df < 1:
         raise ContractError("degrees of freedom must be at least 1")
+    if math.isnan(t):
+        raise ContractError("t statistic is NaN")
     theta = math.atan(abs(t) / math.sqrt(df))
     cos, odd = math.cos(theta), df % 2
     term, series = (cos if odd else 1.0), 0.0
@@ -330,12 +332,14 @@ def paired_t_test(per_query_a, per_query_b) -> float:
     """Two-sided p-value of the paired t statistic on aligned vectors.
 
     Zero-variance conventions: identical vectors give p = 1.0; a constant
-    nonzero difference gives p = 0.0.
+    nonzero difference gives p = 0.0. A non-finite value is an InputError.
     """
     a = np.asarray(per_query_a, dtype=np.float64)
     b = np.asarray(per_query_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError(f"paired vectors must align: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("paired vectors must hold finite values")
     n = a.size
     if n < 2:
         raise InputError("paired_t_test needs at least 2 aligned values")

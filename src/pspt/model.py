@@ -158,21 +158,20 @@ class MicroLM:
         params = {name: p.astype(dtype) for name, p in self.params.items()}
         return MicroLM(self.config, self.vocab, params)
 
-    def validate_ids(self, ids) -> list[int]:
-        out = []
-        for i in ids:
-            i = int(i)
-            if not 0 <= i < self.config.vocab_size:
-                raise VocabularyError(f"token id {i} outside vocabulary of size {self.config.vocab_size}")
-            out.append(i)
-        return out
-
     def embed(self, ids) -> Tensor:
-        """Rows of the frozen embedding table; never trainable."""
-        ids = self.validate_ids(ids)
-        if not ids:
-            return Tensor(np.zeros((0, self.config.dim), dtype=self.dtype))
-        return T.gather_rows(self.params["tok_emb"], ids)
+        """Rows of the frozen embedding table; never trainable. The one check of
+        token ids: anything but one axis of integers in the vocabulary is a VocabularyError."""
+        try:
+            idx = np.asarray(ids)
+        except ValueError:  # a ragged nesting; no axes, so the check below rejects it
+            idx = np.asarray(None)
+        if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise VocabularyError(f"token ids must be one axis of integers, not {ids!r:.60}")
+        bad = (idx < 0) | (idx >= self.config.vocab_size)
+        if bad.any():
+            raise VocabularyError(
+                f"token id {idx[bad][0]} outside vocabulary of size {self.config.vocab_size}")
+        return T.gather_rows(self.params["tok_emb"], idx)
 
     def forward_logprobs(self, x: Tensor, lengths=None, parents=None, rows=None) -> Tensor:
         """Next-token log-distributions, causally masked, for packed segments.

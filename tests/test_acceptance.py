@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad, max_rel_err
 from pspt import tensor as T
 from pspt.adapter import init_pspt_params, passage_embedding
 from pspt.checkpoint import load_model
@@ -83,13 +84,12 @@ def test_criterion_1_gradient_correctness():
     def objective(_):
         return loss_total(q, d_pos, d_neg, params, model).item()
 
-    fd = T.finite_diff_grad(objective, arrays, eps=1e-5)
+    fd = finite_diff_grad(objective, arrays, eps=1e-5)
     worst = 0.0
     with trainable(params.tensors().values()):
         T.backward(loss_total(q, d_pos, d_neg, params, model))
         for tensor, grad in zip(params.tensors().values(), fd):
-            denom = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(grad)), 1e-6)
-            worst = max(worst, float(np.max(np.abs(tensor.grad - grad) / denom)))
+            worst = max(worst, max_rel_err(tensor.grad, grad))
     elapsed = time.time() - t0
     report(1, "gradient correctness", worst < 1e-4 and elapsed < 120,
            f"(max rel err {worst:.2e} over {sum(a.size for a in arrays)} coords, {elapsed:.1f}s)")

@@ -260,6 +260,22 @@ class TestPairedTTest:
         with pytest.raises(InputError):
             paired_t_test([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        # a NaN or infinite difference must not read as p = 0.0, maximally significant
+        with pytest.raises(InputError, match="finite"):
+            paired_t_test([1.0, bad, 0.5], [0.0, 0.2, 0.1])
+        with pytest.raises(InputError, match="finite"):
+            paired_t_test([0.0, 0.2, 0.1], [1.0, bad, 0.5])
+
+    def test_nan_t_rejected(self):
+        with pytest.raises(ContractError):
+            student_t_two_sided_p(math.nan, 5)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_gives_p_zero(self, t):
+        assert student_t_two_sided_p(t, 5) == 0.0
+
 
 def three_query_dataset():
     return QaDataset([

@@ -123,6 +123,24 @@ class TestEmbed:
     def test_output_not_trainable(self, tiny_model):
         assert tiny_model.embed([1, 2]).requires_grad is False
 
+    def test_out_of_range_message_names_the_first_bad_id(self, tiny_model):
+        with pytest.raises(VocabularyError, match="token id -1 outside vocabulary of size 32"):
+            tiny_model.embed([3, -1, 99])
+
+    def test_integer_arrays_of_any_width_accepted(self, tiny_model):
+        for dtype in (np.int32, np.int64, np.uint8):
+            np.testing.assert_array_equal(tiny_model.embed(np.array([3, 7], dtype=dtype)).data,
+                                          tiny_model.embed([3, 7]).data)
+
+    # a float must not be truncated to an id (5.9 to 5), nor a bool read as 0 or 1
+    @pytest.mark.parametrize("ids", [[5.9, 6.2], [[5.9, 6.2]], [True, False, True], [[1, 2], [3]],
+                                     [[1, 2], [3, 4]], ["5"], 5],
+                             ids=["floats", "nested-floats", "bools", "ragged", "two-axes",
+                                  "strings", "scalar"])
+    def test_non_integer_ids_rejected(self, tiny_model, ids):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            tiny_model.embed(ids)
+
 
 def reference_forward(model, x):
     """Independent plain-numpy reimplementation of the forward pass."""

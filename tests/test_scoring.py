@@ -6,7 +6,7 @@ import pytest
 from pspt import scoring
 from pspt import tensor as T
 from pspt.adapter import assemble_input, init_pspt_params, load_params, save_params
-from pspt.errors import ConfigError, ContractError, InputError
+from pspt.errors import ConfigError, ContractError, InputError, VocabularyError
 from pspt.model import MicroLM, ModelConfig, Vocabulary
 from pspt.optim import trainable
 from pspt.scoring import (
@@ -177,6 +177,39 @@ class TestBatchedScoring:
             question_loglik([[10]], [], params, demo_model)
         with pytest.raises(ContractError):
             question_loglik([[10]] * 2, [20, 21], params, demo_model)
+
+
+class TestNonIntegerIds:
+    """Both primitives hand token ids to `MicroLM.embed`, the one check,
+    which must not truncate a float (5.9 to id 5) or read a bool as 0 or 1.
+    A question's ids follow the separator's in one embedded list, so a
+    question is the place to test what no integer can hide: floats and a
+    ragged nesting."""
+
+    FLOATS, BOOLS, RAGGED = [5.9, 6.2], [True, False, True], [[5, 6], [7]]
+
+    @pytest.fixture(params=["pspt", "upr"])
+    def loglik(self, request, demo_model, params):
+        if request.param == "pspt":
+            return lambda qs, ds: question_loglik(qs, ds, params, demo_model)
+        return lambda qs, ds: hard_prompt_loglik(qs, ds, demo_model, DEFAULT_UPR_PROMPT)
+
+    @pytest.mark.parametrize("passage", [FLOATS, BOOLS], ids=["floats", "bools"])
+    def test_passage_ids_rejected(self, loglik, passage):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([[10, 11]], [passage])
+
+    @pytest.mark.parametrize("question", [FLOATS, RAGGED], ids=["floats", "ragged"])
+    def test_question_ids_rejected(self, loglik, question):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([question], [[20, 21]])
+
+    def test_out_of_range_ids_rejected(self, loglik, demo_model):
+        size = demo_model.config.vocab_size
+        with pytest.raises(VocabularyError, match=f"token id {size} outside vocabulary"):
+            loglik([[10, 11]], [[20, size]])
+        with pytest.raises(VocabularyError, match=f"token id {size} outside vocabulary"):
+            loglik([[10, size]], [[20, 21]])
 
 
 class PairsEqualAlone:

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad, max_rel_err
 from pspt import tensor as T
 from pspt.errors import ContractError, NumericError, ShapeError
-
-
-def max_rel_err(a, b):
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
-    return float(np.max(np.abs(a - b) / denom))
 
 
 class TestMatmul:
@@ -39,7 +35,7 @@ class TestMatmul:
             b = T.Tensor(params[1])
             return T.tsum(T.matmul(a, b)).item()
 
-        fd = T.finite_diff_grad(objective, [a0.copy(), b0.copy()], eps=1e-5)
+        fd = finite_diff_grad(objective, [a0.copy(), b0.copy()], eps=1e-5)
         a = T.Tensor(a0, requires_grad=True)
         out = T.tsum(T.matmul(a, T.Tensor(b0)))
         T.backward(out)
@@ -79,7 +75,7 @@ class TestLogSoftmax:
             weighted = T.mul(T.log_softmax_rows(x), T.Tensor(w0))
             return T.tsum(weighted).item()
 
-        fd = T.finite_diff_grad(objective, [x0.copy()], eps=1e-5)
+        fd = finite_diff_grad(objective, [x0.copy()], eps=1e-5)
         x = T.Tensor(x0, requires_grad=True)
         T.backward(T.tsum(T.mul(T.log_softmax_rows(x), T.Tensor(w0))))
         assert max_rel_err(x.grad, fd[0]) < 1e-6
@@ -120,7 +116,7 @@ class TestLayerNorm:
             beta = T.Tensor(params[2], requires_grad=True)
             return T.tsum(T.mul(T.layer_norm(x, gamma, beta), T.Tensor(w0))).item()
 
-        fd = T.finite_diff_grad(objective, [x0.copy(), g0.copy(), b0.copy()], eps=1e-5)
+        fd = finite_diff_grad(objective, [x0.copy(), g0.copy(), b0.copy()], eps=1e-5)
         x = T.Tensor(x0, requires_grad=True)
         gamma = T.Tensor(g0, requires_grad=True)
         beta = T.Tensor(b0, requires_grad=True)
@@ -179,7 +175,7 @@ class TestBackward:
             h = T.layer_norm(h, T.Tensor(g0), T.Tensor(b0))
             return x, T.tsum(T.log_softmax_rows(h))
 
-        fd = T.finite_diff_grad(lambda p: build(p)[1].item(), [x0.copy()], eps=1e-5)
+        fd = finite_diff_grad(lambda p: build(p)[1].item(), [x0.copy()], eps=1e-5)
         x, loss = build([x0])
         T.backward(loss)
         assert max_rel_err(x.grad, fd[0]) < 1e-4
@@ -226,11 +222,11 @@ class TestGatherAndConcat:
 
 class TestFiniteDiff:
     def test_square_function(self):
-        grad = T.finite_diff_grad(lambda p: float(p[0][0] ** 2), [np.array([3.0])], eps=1e-5)
+        grad = finite_diff_grad(lambda p: float(p[0][0] ** 2), [np.array([3.0])], eps=1e-5)
         np.testing.assert_allclose(grad[0], [6.0], atol=1e-6)
 
     def test_constant_function(self):
-        grad = T.finite_diff_grad(lambda p: 1.25, [np.zeros(4)], eps=1e-4)
+        grad = finite_diff_grad(lambda p: 1.25, [np.zeros(4)], eps=1e-4)
         np.testing.assert_array_equal(grad[0], np.zeros(4))
 
     # at 0.0909 the kink's second difference, like curvature's, shrinks 100-fold from
@@ -247,7 +243,7 @@ class TestFiniteDiff:
         def f(p):
             return float(np.sum(w * np.maximum(p[0] - c, 0.0)))
 
-        grad = T.finite_diff_grad(f, [x.copy()], eps=eps)
+        grad = finite_diff_grad(f, [x.copy()], eps=eps)
         np.testing.assert_allclose(grad[0], w * (x > c), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("x", [1e-5, 1e-4, 0.3])
@@ -255,17 +251,17 @@ class TestFiniteDiff:
         # 1 + x²/2 has gradient x; at x = 1e-5 its second difference is large
         # beside its first differences, yet it is curvature, not a kink, and
         # steps of 1e-6 or 1e-7 would only add the rounding error of f ~ 1
-        grad = T.finite_diff_grad(lambda p: float(1 + p[0][0] ** 2 / 2), [np.array([x])],
-                                  eps=1e-5)
+        grad = finite_diff_grad(lambda p: float(1 + p[0][0] ** 2 / 2), [np.array([x])],
+                                eps=1e-5)
         np.testing.assert_allclose(grad[0], [x], rtol=1e-6, atol=0)
 
     def test_eps_bounds_enforced(self):
         with pytest.raises(ContractError):
-            T.finite_diff_grad(lambda p: 0.0, [np.zeros(1)], eps=1e-2)
+            finite_diff_grad(lambda p: 0.0, [np.zeros(1)], eps=1e-2)
 
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NumericError):
-            T.finite_diff_grad(lambda p: float("nan"), [np.zeros(1)])
+            finite_diff_grad(lambda p: float("nan"), [np.zeros(1)])
 
 
 class TestDeterminismAndDtype:
@@ -296,8 +292,8 @@ class TestDeterminismAndDtype:
 
 def check_gradients(build, arrays, tol=1e-6):
     """Backward through build(tensors) -> scalar matches float64 central differences."""
-    fd = T.finite_diff_grad(lambda p: build([T.Tensor(a) for a in p]).item(),
-                            [a.copy() for a in arrays], eps=1e-5)
+    fd = finite_diff_grad(lambda p: build([T.Tensor(a) for a in p]).item(),
+                          [a.copy() for a in arrays], eps=1e-5)
     tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
     T.backward(build(tensors))
     for t, grad in zip(tensors, fd):
