@@ -31,7 +31,8 @@ class Tensor:
     """A dense float array plus the graph edge that produced it.
 
     Leaves created with requires_grad=False never receive a gradient
-    buffer. Results of operations require grad iff any input does.
+    buffer. Results of operations require grad iff any input does; their
+    gradient lives only while `backward` passes it on.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -87,10 +88,18 @@ def _as_tensor(x, dtype=None) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g into t's gradient; the first g is stored as given, not copied.
+
+    So a gradient may be a view of, or the same array as, another tensor's
+    gradient or a backward intermediate. That is sound because nothing
+    writes into a gradient array: this function and clip_global_norm bind
+    a new one, and Adam only reads it. Keep it so.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        g = np.asarray(g)
+        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
     else:
         t.grad = t.grad + g
 
@@ -351,10 +360,13 @@ def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.n
     their first block: the group's q rows (a slice for a single block, an
     index array for several), its key spans (the root's rows, then each of
     its blocks'), the root's row count, and the additive mask of its
-    queried rows over its own columns."""
+    queried rows over its own columns. A single block's mask is a slice of
+    one causal triangle shared by the call: read it, never write into it."""
     starts = np.cumsum([0, *sizes]).tolist()
     held = np.searchsorted(q_rows, starts).tolist()  # block j's queries: q rows held[j]:held[j + 1]
     hide, show = dtype(-1e9), dtype(0)
+    wide = np.arange(max(sizes, default=0))
+    triangle = np.where(wide > wide[:, None], hide, show)  # a block's causal mask, sliced below
     members: dict[int, list[int]] = {}  # each group's first block -> its blocks, in order
     head: list[int] = []
     for j, p in enumerate(parents):
@@ -368,10 +380,10 @@ def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.n
         keys = [slice(starts[root], starts[root + 1])] if root >= 0 else []
         n_root = sizes[root] if root >= 0 else 0
         if len(blocks) == 1:  # the block's chain is the root and itself: a causal mask
-            lo, hi = starts[first], starts[first + 1]
+            lo, n = starts[first], sizes[first]
             mine = slice(held[first], held[first + 1])
-            mask = np.where(np.arange(lo, hi) > q_rows[mine, None], hide, show)
-            yield mine, keys + [slice(lo, hi)], n_root, mask
+            mask = triangle[:n, :n] if mine.stop - mine.start == n else triangle[q_rows[mine] - lo, :n]
+            yield mine, keys + [slice(lo, lo + n)], n_root, mask
             continue
         own = [slice(starts[j], starts[j + 1]) for j in blocks]
         mine = np.concatenate([np.arange(held[j], held[j + 1]) for j in queried])
@@ -485,10 +497,14 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Fill gradient buffers of everything the scalar loss depends on.
+    """Add the loss's gradient into every leaf it depends on.
 
-    Visits the graph in reverse topological order exactly once. Tensors
-    created with requires_grad=False are left untouched.
+    Visits the graph in reverse topological order exactly once. An
+    interior node (an op result) hands its gradient to its op's backward
+    and drops it, so each buffer is freed once used: after the call only
+    leaves hold a grad, and a second call on the same graph adds the same
+    gradients again. Tensors created with requires_grad=False are left
+    untouched.
     """
     if loss.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -512,4 +528,5 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            node._backward(g)

@@ -184,7 +184,8 @@ class TestNonIntegerIds:
     which must not truncate a float (5.9 to id 5) or read a bool as 0 or 1.
     A question's ids follow the separator's in one embedded list, so a
     question is the place to test what no integer can hide: floats and a
-    ragged nesting."""
+    ragged nesting, which must also fail as a passage before the passages
+    are grouped by their ids."""
 
     FLOATS, BOOLS, RAGGED = [5.9, 6.2], [True, False, True], [[5, 6], [7]]
 
@@ -194,7 +195,7 @@ class TestNonIntegerIds:
             return lambda qs, ds: question_loglik(qs, ds, params, demo_model)
         return lambda qs, ds: hard_prompt_loglik(qs, ds, demo_model, DEFAULT_UPR_PROMPT)
 
-    @pytest.mark.parametrize("passage", [FLOATS, BOOLS], ids=["floats", "bools"])
+    @pytest.mark.parametrize("passage", [FLOATS, BOOLS, RAGGED], ids=["floats", "bools", "ragged"])
     def test_passage_ids_rejected(self, loglik, passage):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             loglik([[10, 11]], [passage])
@@ -203,6 +204,10 @@ class TestNonIntegerIds:
     def test_question_ids_rejected(self, loglik, question):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             loglik([question], [[20, 21]])
+
+    def test_unhashable_integer_passage_ids_rejected(self, loglik):
+        with pytest.raises(VocabularyError, match="hashable integers"):
+            loglik([[10, 11]], [[np.array(5), np.array(6)]])
 
     def test_out_of_range_ids_rejected(self, loglik, demo_model):
         size = demo_model.config.vocab_size

@@ -6,6 +6,7 @@ import pytest
 from gradcheck import finite_diff_grad, max_rel_err
 from pspt import tensor as T
 from pspt.errors import ContractError, NumericError, ShapeError
+from pspt.optim import Adam, clip_global_norm
 
 
 class TestMatmul:
@@ -161,6 +162,64 @@ class TestBackward:
         single = T.Tensor(x.data, requires_grad=True)
         T.backward(T.tsum(T.matmul(single, w)))
         np.testing.assert_allclose(x.grad, 2 * single.grad, rtol=1e-6)
+
+    def test_second_pass_on_one_graph_doubles_the_leaf_gradient(self):
+        x = T.Tensor(np.array([1.0, -2.0, 0.5], dtype=np.float32), requires_grad=True)
+        loss = T.tsum(T.mul(T.mul(x, 2.0), 3.0))
+        T.backward(loss)
+        once = x.grad
+        T.backward(loss)
+        np.testing.assert_array_equal(once, np.full(3, 6.0, dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, 2 * once)
+
+    def test_only_leaves_keep_a_gradient(self):
+        rng = T.make_rng(31)
+        x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        frozen = T.Tensor(rng.normal(size=(3, 2)))
+        h = T.matmul(x, w)
+        a = T.add(h, frozen)
+        s = T.log_softmax_rows(T.relu(a))
+        loss = T.tsum(T.mul(s, a))
+        T.backward(loss)
+        assert x.grad is not None and w.grad is not None and frozen.grad is None
+        assert all(t.grad is None for t in (h, a, s, loss))
+
+    def test_first_gradient_is_cast_to_the_leaf_dtype(self):
+        x = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        T._accumulate(x, np.full(3, 0.1, dtype=np.float64))
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.full(3, 0.1, dtype=np.float32))
+
+    def test_first_gradient_of_the_leaf_dtype_is_kept_uncopied(self):
+        x = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        g = np.full(3, 0.5, dtype=np.float32)
+        T._accumulate(x, g)
+        assert x.grad is g
+
+    def test_leaves_sharing_one_gradient_buffer_are_clipped_and_stepped_once_each(self):
+        """add() hands one array to both operands: clipping must scale each
+        leaf's gradient once, and neither clipping nor Adam may write into it."""
+        a = T.Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+        c = T.add(a, b)
+        T.backward(T.tsum(T.mul(c, T.Tensor(np.arange(1.0, 5.0, dtype=np.float32)))))
+        assert a.grad is b.grad  # the aliasing under test
+        shared = a.grad
+        before = shared.copy()
+        norm = clip_global_norm([a, b], 1.0)
+        assert norm == pytest.approx(np.sqrt(2 * 30.0))
+        scale = np.float32(1.0 / (norm + 1e-12))
+        np.testing.assert_array_equal(a.grad, before * scale)
+        np.testing.assert_array_equal(b.grad, before * scale)
+        np.testing.assert_array_equal(shared, before)
+        clipped = a.grad.copy(), b.grad.copy()
+        Adam([([a, b], 0.1)]).step()
+        np.testing.assert_array_equal(a.grad, clipped[0])
+        np.testing.assert_array_equal(b.grad, clipped[1])
+        np.testing.assert_array_equal(shared, before)
+        np.testing.assert_allclose(a.data, b.data)
+        assert np.all(a.data < 0)
 
     def test_composed_graph_matches_finite_differences(self):
         rng = T.make_rng(29)
@@ -555,6 +614,27 @@ class TestGroupedAttention:
             assert np.array_equal(a[:, leaves], b[:, leaves])
         for a, b in zip(got[2:], want[2:]):
             assert np.array_equal(a[:, 12:], b[:, 12:])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tree, q_rows", [
+        (PROMPT_LEAVES, None), (PROMPT_LEAVES, [1, 4, 5, 13]), (PROMPT_LEAVES, [0, 6, 9]),
+        (EQUAL_ROOTS, None), (EQUAL_ROOTS, [0, 2, 7]), (TREE, None), (TREE, [2, 8, 10, 11])],
+        ids=["prompt-leaves", "prompt-leaves-subset", "prompt-leaves-sparse", "equal-roots",
+             "equal-roots-subset", "tree", "tree-subset"])
+    def test_single_block_masks_equal_a_fresh_causal_mask(self, tree, q_rows, dtype):
+        """A single-block group's mask, sliced from one triangle per call,
+        equals the mask built for the block alone: hide key row c from query
+        row r iff c > r."""
+        sizes, parents = tree
+        rows = np.arange(sum(sizes)) if q_rows is None else np.asarray(q_rows)
+        singles = 0
+        for mine, keys, _, mask in T._attention_groups(sizes, parents, rows, dtype):
+            if isinstance(mine, slice):  # a single block: its own rows are the last key span
+                lo, hi = keys[-1].start, keys[-1].stop
+                want = np.where(np.arange(lo, hi) > rows[mine, None], dtype(-1e9), dtype(0))
+                assert mask.dtype == dtype and np.array_equal(mask, want)
+                singles += 1
+        assert singles > 0
 
     @pytest.mark.parametrize("tree, q_rows", [
         (TREE, None), (FANOUT, None), (DEEP, None),
