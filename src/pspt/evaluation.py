@@ -364,15 +364,17 @@ class RunMetrics:
     skipped: list[str]
 
 
+def _metric_names(k_list: list[int]) -> list[str]:
+    """R@k and H@k for each cutoff, in report order."""
+    return [f"{m}@{k}" for k in k_list for m in ("R", "H")]
+
+
 @dataclass
 class MetricReport:
     k_list: list[int]
     runs: list[RunMetrics]
     baseline_tag: str | None
     p_values: dict[str, dict[str, float]]
-
-    def metric_names(self) -> list[str]:
-        return [f"{m}@{k}" for k in self.k_list for m in ("R", "H")]
 
     def to_json_dict(self) -> dict:
         return {
@@ -392,7 +394,7 @@ class MetricReport:
         }
 
     def format_table(self) -> str:
-        names = self.metric_names()
+        names = _metric_names(self.k_list)
         width = max(12, max((len(r.tag) for r in self.runs), default=0) + 2)
         lines = ["run".ljust(width) + "".join(n.rjust(9) for n in names)]
         for r in self.runs:
@@ -424,7 +426,7 @@ def evaluate(runs: list[RetrievalRun], dataset: QaDataset, k_list: list[int],
     if not k_list or min(k_list) < 1:
         raise ConfigError(f"k_list must be a non-empty list of cutoffs >= 1, got {k_list}")
 
-    names = [f"{m}@{k}" for k in k_list for m in ("R", "H")]
+    names = _metric_names(k_list)
     results: list[RunMetrics] = []
     for run in runs:
         per_query: dict[str, dict[str, float]] = {}

@@ -8,6 +8,7 @@ created frozen; only pretraining temporarily unfreezes them.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -92,25 +93,29 @@ class ModelConfig:
     @property
     def param_count(self) -> int:
         """The sizes of param_shapes summed, in time independent of n_layers."""
-        dim, ffn = self.dim, self.ffn_mult * self.dim
-        per_layer = 4 * dim * dim + 2 * dim * ffn + 5 * dim + ffn
-        return (self.vocab_size + self.max_seq_len + 2) * dim + self.n_layers * per_layer
+        head, layer, tail = _shape_table(self)
+        return (sum(map(math.prod, [*head.values(), *tail.values()]))
+                + self.n_layers * sum(map(math.prod, layer.values())))
+
+
+def _shape_table(config: ModelConfig) -> tuple[dict, dict, dict]:
+    """The parameter shapes before the layers, of each layer (names
+    relative to it) and after the layers, each in MicroLM.init's order."""
+    dim, ffn = config.dim, config.ffn_mult * config.dim
+    layer = {"ln1.gamma": (dim,), "ln1.beta": (dim,),
+             **{"attn." + w: (dim, dim) for w in ("wq", "wk", "wv", "wo")},
+             "ln2.gamma": (dim,), "ln2.beta": (dim,), "ffn.w1": (dim, ffn), "ffn.b1": (ffn,),
+             "ffn.w2": (ffn, dim), "ffn.b2": (dim,)}
+    return ({"tok_emb": (config.vocab_size, dim), "pos_emb": (config.max_seq_len, dim)}, layer,
+            {"ln_f.gamma": (dim,), "ln_f.beta": (dim,)})
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every model parameter, in the order MicroLM.init
     creates them."""
-    dim, ffn = config.dim, config.ffn_mult * config.dim
-    shapes = {"tok_emb": (config.vocab_size, dim), "pos_emb": (config.max_seq_len, dim)}
-    for i in range(config.n_layers):
-        p = f"layers.{i}."
-        shapes.update({p + "ln1.gamma": (dim,), p + "ln1.beta": (dim,),
-                       **{p + "attn." + w: (dim, dim) for w in ("wq", "wk", "wv", "wo")},
-                       p + "ln2.gamma": (dim,), p + "ln2.beta": (dim,),
-                       p + "ffn.w1": (dim, ffn), p + "ffn.b1": (ffn,),
-                       p + "ffn.w2": (ffn, dim), p + "ffn.b2": (dim,)})
-    shapes.update({"ln_f.gamma": (dim,), "ln_f.beta": (dim,)})
-    return shapes
+    head, layer, tail = _shape_table(config)
+    return {**head, **{f"layers.{i}.{name}": shape for i in range(config.n_layers)
+                       for name, shape in layer.items()}, **tail}
 
 
 class MicroLM:
@@ -165,7 +170,9 @@ class MicroLM:
             idx = np.asarray(ids)
         except ValueError:  # a ragged nesting; no axes, so the check below rejects it
             idx = np.asarray(None)
-        if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
+        if (idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer)
+                # numpy reads bools among ints as 0 and 1; a bool array is not integer
+                or not isinstance(ids, np.ndarray) and {bool, np.bool_} & set(map(type, ids))):
             raise VocabularyError(f"token ids must be one axis of integers, not {ids!r:.60}")
         bad = (idx < 0) | (idx >= self.config.vocab_size)
         if bad.any():
@@ -200,14 +207,9 @@ class MicroLM:
             raise ShapeError(f"expected input of shape [L, {cfg.dim}], got {x.shape}")
         lengths = [x.shape[0]] if lengths is None else [int(n) for n in lengths]
         parents = [-1] * len(lengths) if parents is None else [int(j) for j in parents]
-        if (not lengths or min(lengths) < 1 or sum(lengths) != x.shape[0]
-                or len(parents) != len(lengths)):
-            raise ShapeError(f"segment lengths {lengths} (parents {parents}) do not partition "
-                             f"{x.shape[0]} input rows")
+        T.check_tree(lengths, parents, x.shape[0])
         starts: list[int] = []  # each segment's first position: where its chain ends
-        for i, j in enumerate(parents):
-            if not -1 <= j < i:
-                raise ShapeError(f"segment {i}'s parent {j} is neither -1 nor an earlier segment")
+        for j in parents:
             starts.append(0 if j < 0 else starts[j] + lengths[j])
         longest = max(s + n for s, n in zip(starts, lengths))
         if longest > cfg.max_seq_len:
@@ -291,19 +293,16 @@ def _mean_sequence_nll(model: MicroLM, seqs: list[list[int]]) -> Tensor:
     return T.tsum(T.mul(picked, weights.astype(model.dtype)))
 
 
-def sequence_cross_entropy(model: MicroLM, corpus: list[list[int]]) -> float:
-    """Mean per-token next-token cross-entropy over a list of id sequences."""
-    seqs = [s for s in corpus if s]
-    if not seqs:
-        raise DataError("cross-entropy over an empty corpus")
-    return float(np.mean([_mean_sequence_nll(model, [s]).item() for s in seqs]))
+def dev_count(n: int, fraction: float) -> int:
+    """How many of n items a dev split at `fraction` holds: none if n < 2 or
+    fraction is 0, else int(n * fraction) kept within 1..n-1."""
+    return min(max(1, int(n * fraction)), n - 1) if n > 1 and fraction > 0 else 0
 
 
 def holdout_split(corpus: list[list[int]], seed: int):
     """Deterministic train/dev split of a token-sequence corpus, 10% dev."""
     order = T.make_rng(seed, 1).permutation(len(corpus))
-    n_dev = min(max(1, int(len(corpus) * 0.1)), len(corpus) - 1) if len(corpus) > 1 else 0
-    dev_idx = set(order[:n_dev].tolist())
+    dev_idx = set(order[:dev_count(len(corpus), 0.1)].tolist())
     train = [corpus[i] for i in range(len(corpus)) if i not in dev_idx]
     dev = [corpus[i] for i in sorted(dev_idx)]
     return train, dev

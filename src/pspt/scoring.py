@@ -80,11 +80,11 @@ def _packed_loglik(model: MicroLM, prefix: Tensor, question_ids, passages,
     MAX_PACKED_ROWS rows of consecutive pairs, in which the prefix is the
     root segment, computed once. `question_ids` holds one question per
     passage; `embed_passages` maps passage ids to one input row per id."""
-    if not passages:
-        raise ContractError("scoring needs at least one passage")
-    if not all(isinstance(d, (list, tuple, np.ndarray)) for d in passages):
-        raise ContractError("passages must be a list of token-id lists")
-    pairs = list(zip(passages, question_ids, strict=True))
+    if not passages or len(question_ids) != len(passages) or not all(
+            isinstance(s, (list, tuple, np.ndarray)) for s in [*passages, *question_ids]):
+        raise ContractError("scoring needs at least one passage and one question per passage, "
+                            "each a list of token ids")
+    pairs = list(zip(passages, question_ids))
     sizes = [len(d) + SEPARATOR_ROWS + len(q) for d, q in pairs]
     scores = []
     for group in _groups(pairs, sizes, MAX_PACKED_ROWS):

@@ -310,10 +310,7 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
         raise ShapeError(f"block_attention needs equal k, v shapes and q of their leading and "
                          f"last axes, got {q.shape}, {k.shape}, {v.shape}")
     n_keys = k.shape[-2]
-    if (sum(sizes) != n_keys or min(sizes, default=0) < 1 or len(parents) != len(sizes)
-            or any(not -1 <= p < j for j, p in enumerate(parents))):
-        raise ShapeError(f"block sizes {list(sizes)} with parents {list(parents)} do not "
-                         f"partition {n_keys} rows into a tree")
+    check_tree(sizes, parents, n_keys)
     q_rows = np.arange(n_keys) if q_rows is None else np.asarray(q_rows, dtype=np.int64)
     if (q_rows.shape != (q.shape[-2],) or (q_rows.size and (q_rows[0] < 0 or q_rows[-1] >= n_keys))
             or np.any(np.diff(q_rows) <= 0)):
@@ -353,6 +350,15 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
                 _accumulate(t, d)
 
     return _make(out, (q, k, v), backward)
+
+
+def check_tree(sizes: Sequence[int], parents: Sequence[int], n_rows: int) -> None:
+    """Raise ShapeError unless blocks of `sizes` rows, each at least one,
+    partition n_rows rows and each block's parent is -1 or an earlier block."""
+    if (sum(sizes) != n_rows or min(sizes, default=0) < 1 or len(parents) != len(sizes)
+            or any(not -1 <= p < j for j, p in enumerate(parents))):
+        raise ShapeError(f"block sizes {list(sizes)} with parents {list(parents)} do not "
+                         f"partition {n_rows} rows into a tree")
 
 
 def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.ndarray, dtype):
@@ -484,16 +490,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum of all entries as a scalar tensor, or over one axis."""
-    if axis is None:
-        def backward(g):
-            _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
+    def backward(g):
+        _accumulate(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
-        return _make(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), backward)
-
-    def backward_axis(g):
-        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-    return _make(a.data.sum(axis=axis), (a,), backward_axis)
+    return _make(np.asarray(a.data.sum(axis=axis), dtype=a.data.dtype), (a,), backward)
 
 
 def backward(loss: Tensor) -> None:

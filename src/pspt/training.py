@@ -27,7 +27,7 @@ from .adapter import PsptParams
 from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, NumericError
 from .evaluation import QaDataset
-from .model import MicroLM, Vocabulary
+from .model import MicroLM, Vocabulary, dev_count
 from .optim import Adam, clip_global_norm, trainable
 from .scoring import question_loglik
 from .tensor import Tensor
@@ -249,9 +249,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
         raise DataError("no training instances")
 
     order = T.make_rng(config.seed, 10).permutation(len(instances))
-    n_dev = 0
-    if len(instances) > 1 and config.dev_fraction > 0:
-        n_dev = min(max(1, int(len(instances) * config.dev_fraction)), len(instances) - 1)
+    n_dev = dev_count(len(instances), config.dev_fraction)
     dev_set = [instances[i] for i in order[:n_dev]]
     train_set = [instances[i] for i in order[n_dev:]]
 
@@ -264,9 +262,9 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
     total_steps = config.epochs * steps_per_epoch
 
     log: list[dict] = []
-    best_snapshot = params.astype(e1.dtype)
     best_dev = None
     if dev_set:
+        best_snapshot = params.astype(e1.dtype)
         best_dev, accuracy = _dev_loss(dev_set, params, model, config)
         log.append({"epoch": 0, "dev_loss": best_dev, "dev_pair_accuracy": accuracy,
                     "best": True})
@@ -320,9 +318,8 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 if bad_epochs >= config.early_stop_patience:
                     logger.info("early stop after epoch %d (best epoch %d)", epoch, best_epoch)
                     break
-        else:
-            best_snapshot = params.astype(e1.dtype)
-            best_epoch = epoch
+    if not dev_set:  # nothing to stop early on: the last epoch's parameters
+        best_snapshot, best_epoch = params.astype(e1.dtype), config.epochs
 
     return TrainResult(params=best_snapshot, log=log, best_epoch=best_epoch,
                        best_dev_loss=best_dev, steps=step)

@@ -30,10 +30,10 @@ from pspt.model import (
     MicroLM,
     ModelConfig,
     Vocabulary,
+    _mean_sequence_nll,
     holdout_split,
     param_shapes,
     pretrain_micro_lm,
-    sequence_cross_entropy,
     tokenize_text,
 )
 from pspt.scoring import question_loglik, score_pspt
@@ -92,6 +92,15 @@ class TestConfig:
         config = ModelConfig(vocab_size=40, **fields)
         assert config.param_count == sum(int(np.prod(s)) for s in param_shapes(config).values())
 
+    def test_param_shapes_keep_the_init_draw_order(self):
+        assert list(param_shapes(ModelConfig(vocab_size=8, n_layers=1))) == [
+            "tok_emb", "pos_emb",
+            "layers.0.ln1.gamma", "layers.0.ln1.beta",
+            "layers.0.attn.wq", "layers.0.attn.wk", "layers.0.attn.wv", "layers.0.attn.wo",
+            "layers.0.ln2.gamma", "layers.0.ln2.beta",
+            "layers.0.ffn.w1", "layers.0.ffn.b1", "layers.0.ffn.w2", "layers.0.ffn.b2",
+            "ln_f.gamma", "ln_f.beta"]
+
     def test_more_than_max_parameters_rejected(self):
         base = ModelConfig(vocab_size=4).param_count
         largest = 4 + (MAX_PARAMETERS - base) // 128  # each token adds one row of dim 128
@@ -132,11 +141,14 @@ class TestEmbed:
             np.testing.assert_array_equal(tiny_model.embed(np.array([3, 7], dtype=dtype)).data,
                                           tiny_model.embed([3, 7]).data)
 
-    # a float must not be truncated to an id (5.9 to 5), nor a bool read as 0 or 1
+    # a float must not be truncated to an id (5.9 to 5), nor a bool read as 0 or 1,
+    # also among ints, where numpy turns the list into int64
     @pytest.mark.parametrize("ids", [[5.9, 6.2], [[5.9, 6.2]], [True, False, True], [[1, 2], [3]],
-                                     [[1, 2], [3, 4]], ["5"], 5],
+                                     [[1, 2], [3, 4]], ["5"], 5, [True, 5], [5, 6, False],
+                                     [np.True_, 5], (7, np.bool_(0))],
                              ids=["floats", "nested-floats", "bools", "ragged", "two-axes",
-                                  "strings", "scalar"])
+                                  "strings", "scalar", "bool-first", "bool-last", "numpy-bool",
+                                  "bool-in-tuple"])
     def test_non_integer_ids_rejected(self, tiny_model, ids):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             tiny_model.embed(ids)
@@ -385,7 +397,7 @@ class TestPretraining:
         init = MicroLM.init(cfg, tiny_model.vocab, seed=11)
         trained = pretrain_micro_lm(corpus, cfg, tiny_model.vocab, seed=11, steps=300, batch_size=4)
         _, dev = holdout_split(corpus, seed=11)
-        assert sequence_cross_entropy(trained, dev) < sequence_cross_entropy(init, dev)
+        assert _mean_sequence_nll(trained, dev).item() < _mean_sequence_nll(init, dev).item()
 
     def test_deterministic_given_seed(self, tiny_model):
         corpus = toy_corpus(tiny_model.vocab)

@@ -179,31 +179,54 @@ class TestBatchedScoring:
             question_loglik([[10]] * 2, [20, 21], params, demo_model)
 
 
+@pytest.fixture(params=["pspt", "upr"])
+def loglik(request, demo_model, params):
+    """Each scoring primitive as a function of (questions, passages)."""
+    if request.param == "pspt":
+        return lambda qs, ds: question_loglik(qs, ds, params, demo_model)
+    return lambda qs, ds: hard_prompt_loglik(qs, ds, demo_model, DEFAULT_UPR_PROMPT)
+
+
+class TestQuestionLists:
+    """Questions are checked like passages: one token-id list per passage."""
+
+    def test_bare_id_list_as_questions_rejected(self, loglik):
+        with pytest.raises(ContractError, match="each a list of token ids"):
+            loglik([10], [[5]])
+
+    @pytest.mark.parametrize("n_questions", [0, 2])
+    def test_question_count_must_equal_passage_count(self, loglik, n_questions):
+        with pytest.raises(ContractError, match="one question per passage"):
+            loglik([[10]] * n_questions, [[5]])
+
+
 class TestNonIntegerIds:
     """Both primitives hand token ids to `MicroLM.embed`, the one check,
     which must not truncate a float (5.9 to id 5) or read a bool as 0 or 1.
     A question's ids follow the separator's in one embedded list, so a
-    question is the place to test what no integer can hide: floats and a
-    ragged nesting, which must also fail as a passage before the passages
-    are grouped by their ids."""
+    question is the place to test what no integer can hide: floats, a
+    ragged nesting and bools (numpy reads bools among ints as 0 and 1),
+    which must also fail as a passage before the passages are grouped by
+    their ids."""
 
     FLOATS, BOOLS, RAGGED = [5.9, 6.2], [True, False, True], [[5, 6], [7]]
 
-    @pytest.fixture(params=["pspt", "upr"])
-    def loglik(self, request, demo_model, params):
-        if request.param == "pspt":
-            return lambda qs, ds: question_loglik(qs, ds, params, demo_model)
-        return lambda qs, ds: hard_prompt_loglik(qs, ds, demo_model, DEFAULT_UPR_PROMPT)
-
-    @pytest.mark.parametrize("passage", [FLOATS, BOOLS, RAGGED], ids=["floats", "bools", "ragged"])
+    @pytest.mark.parametrize("passage", [FLOATS, BOOLS, RAGGED, [True, 5]],
+                             ids=["floats", "bools", "ragged", "bool-among-ints"])
     def test_passage_ids_rejected(self, loglik, passage):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             loglik([[10, 11]], [passage])
 
-    @pytest.mark.parametrize("question", [FLOATS, RAGGED], ids=["floats", "ragged"])
+    @pytest.mark.parametrize("question", [FLOATS, RAGGED, BOOLS, [10, True]],
+                             ids=["floats", "ragged", "bools", "bool-among-ints"])
     def test_question_ids_rejected(self, loglik, question):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             loglik([question], [[20, 21]])
+
+    def test_bool_passage_beside_integer_passages_rejected(self, loglik):
+        # the passages are embedded as one list, which numpy would read as int64
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([[10, 11]] * 2, [[20, 21], self.BOOLS])
 
     def test_unhashable_integer_passage_ids_rejected(self, loglik):
         with pytest.raises(VocabularyError, match="hashable integers"):
@@ -251,7 +274,7 @@ class TestMultiQuestionPacking(PairsEqualAlone):
         return passages, questions
 
     def test_question_count_must_match_passages(self, demo_model, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError, match="one question per passage"):
             question_loglik([[10, 11], [12]], [[20], [21], [22]], params, demo_model)
 
 

@@ -457,6 +457,19 @@ class TestTrain:
         worse_later = dev_records[-1]["dev_loss"] > result.best_dev_loss
         assert stopped_early or worse_later or result.best_epoch == dev_records[-1]["epoch"]
 
+    def test_no_dev_set_returns_final_params(self, demo_model, params):
+        before = {k: t.data.copy() for k, t in params.tensors().items()}
+        config = self.quick_config(dev_fraction=0.0)
+        result = train(config, overfit_setup(demo_model), demo_model, params)
+        assert result.best_epoch == config.epochs and result.best_dev_loss is None
+        assert result.steps == 3 * config.epochs  # 12 instances in batches of 4
+        assert not any("dev_loss" in r for r in result.log)
+        final = params.tensors()
+        assert any(not np.array_equal(final[k].data, before[k]) for k in before)
+        for name, tensor in result.params.tensors().items():
+            assert tensor is not final[name]
+            np.testing.assert_array_equal(tensor.data, final[name].data)
+
     def test_validation_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
