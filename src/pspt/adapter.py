@@ -19,8 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint_file, save_checkpoint_file
-from .errors import (CheckpointError, ConfigError, ContractError, SequenceLengthError,
-                     VocabularyError)
+from .errors import CheckpointError, ConfigError, ContractError, SequenceLengthError
 from .model import MicroLM, tokenize_text
 from .tensor import Tensor
 
@@ -166,12 +165,9 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
                 f"prompt ({n_pre}) + separator ({SEPARATOR_ROWS}) + "
                 f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
         kept.append((tuple(d)[:budget], q))
-    try:
-        uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
-    except TypeError:  # an unhashable id, such as a nested list: embed's check names it
-        for d, _ in kept:
-            model.embed(d)
-        raise VocabularyError("token ids must be hashable integers") from None
+    # check every kept id before equal passages merge: (True, 5) == (1, 5) would hide a bool
+    model.check_ids([t for d, _ in kept for t in d])
+    uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
     first = dict(zip(uses, accumulate(map(len, uses), initial=n_pre)))  # first rows in the table
     rows = embed_passages([t for d in uses for t in d])
     index, lengths, parents = list(range(n_pre)), [n_pre], [-1]

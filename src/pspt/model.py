@@ -164,21 +164,28 @@ class MicroLM:
         return MicroLM(self.config, self.vocab, params)
 
     def embed(self, ids) -> Tensor:
-        """Rows of the frozen embedding table; never trainable. The one check of
-        token ids: anything but one axis of integers in the vocabulary is a VocabularyError."""
+        """Rows of the frozen embedding table; never trainable."""
+        return T.gather_rows(self.params["tok_emb"], self.check_ids(ids))
+
+    def check_ids(self, ids) -> np.ndarray:
+        """The one check of token ids, returning them as an index array:
+        anything but an integer array or a list of ints and numpy integer
+        scalars, all in the vocabulary, is a VocabularyError."""
         try:
             idx = np.asarray(ids)
         except ValueError:  # a ragged nesting; no axes, so the check below rejects it
             idx = np.asarray(None)
         if (idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer)
-                # numpy reads bools among ints as 0 and 1; a bool array is not integer
-                or not isinstance(ids, np.ndarray) and {bool, np.bool_} & set(map(type, ids))):
+                # numpy reads bools and 0-d arrays among ints as ints
+                or not isinstance(ids, np.ndarray)
+                and not all(t is not bool and issubclass(t, (int, np.integer))
+                            for t in set(map(type, ids)))):
             raise VocabularyError(f"token ids must be one axis of integers, not {ids!r:.60}")
         bad = (idx < 0) | (idx >= self.config.vocab_size)
         if bad.any():
             raise VocabularyError(
                 f"token id {idx[bad][0]} outside vocabulary of size {self.config.vocab_size}")
-        return T.gather_rows(self.params["tok_emb"], idx)
+        return idx
 
     def forward_logprobs(self, x: Tensor, lengths=None, parents=None, rows=None) -> Tensor:
         """Next-token log-distributions, causally masked, for packed segments.

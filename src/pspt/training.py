@@ -239,8 +239,9 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
           params: PsptParams) -> TrainResult:
     """Optimize the adapter parameters; the model itself is never touched.
 
-    Returns the parameter snapshot with the best dev loss (the untrained
-    snapshot counts as epoch 0).
+    Epoch 0 runs no steps: its dev pass scores the untrained parameters.
+    Returns the parameter snapshot of the first epoch with the least dev
+    loss or, without a dev split, the last epoch's parameters.
     """
     config.validate()
     if config.epochs == 0:
@@ -257,26 +258,15 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
     adapters = [params.adapter.A, params.adapter.B]
     theta = [e1, *adapters]
     opt = Adam([([e1], config.lr_soft_prompt), (adapters, config.lr_adapter)])
+    total_steps = config.epochs * math.ceil(len(train_set) / config.batch_size)
 
-    steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-
-    log: list[dict] = []
-    best_dev = None
-    if dev_set:
-        best_snapshot = params.astype(e1.dtype)
-        best_dev, accuracy = _dev_loss(dev_set, params, model, config)
-        log.append({"epoch": 0, "dev_loss": best_dev, "dev_pair_accuracy": accuracy,
-                    "best": True})
-    best_epoch = 0
-    bad_epochs = 0
-    step = 0
-
-    for epoch in range(1, config.epochs + 1):
-        perm = T.make_rng(config.seed, 20, epoch).permutation(len(train_set))
-        for start in range(0, len(train_set), config.batch_size):
+    result = TrainResult(params=params)
+    for epoch in range(config.epochs + 1):
+        perm = T.make_rng(config.seed, 20, epoch).permutation(len(train_set)) if epoch else []
+        for start in range(0, len(perm), config.batch_size):
             batch = [train_set[i] for i in perm[start:start + config.batch_size]]
             pairs = expand_in_batch(batch, config.in_batch_negatives)
+            step = result.steps
             scale = 1.0 - step / total_steps
             with trainable(theta):
                 total, point, pair, margins = _batch_loss(pairs, params, model, config)
@@ -287,7 +277,7 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 grad_norm = clip_global_norm(theta, config.grad_clip)
                 before = [t.data for t in theta]  # Adam replaces each array, never writes into it
                 opt.step(scale)
-            log.append({
+            result.log.append({
                 "step": step,
                 "epoch": epoch,
                 "lr_g1": config.lr_soft_prompt * scale,
@@ -302,24 +292,18 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
                 "update_norm_soft_prompt": _update_norm([e1], before[:1]),
                 "update_norm_adapter": _update_norm(adapters, before[1:]),
             })
-            step += 1
+            result.steps += 1
         if dev_set:
             dev, accuracy = _dev_loss(dev_set, params, model, config)
-            improved = dev < best_dev
-            log.append({"epoch": epoch, "dev_loss": dev, "dev_pair_accuracy": accuracy,
-                        "best": improved})
-            if improved:
-                best_dev = dev
-                best_epoch = epoch
-                best_snapshot = params.astype(e1.dtype)
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= config.early_stop_patience:
-                    logger.info("early stop after epoch %d (best epoch %d)", epoch, best_epoch)
-                    break
-    if not dev_set:  # nothing to stop early on: the last epoch's parameters
-        best_snapshot, best_epoch = params.astype(e1.dtype), config.epochs
-
-    return TrainResult(params=best_snapshot, log=log, best_epoch=best_epoch,
-                       best_dev_loss=best_dev, steps=step)
+            improved = epoch == 0 or dev < result.best_dev_loss
+            result.log.append({"epoch": epoch, "dev_loss": dev, "dev_pair_accuracy": accuracy,
+                               "best": improved})
+        else:  # nothing to stop early on: the last epoch's parameters
+            dev, improved = None, epoch == config.epochs
+        if improved:
+            result.params, result.best_dev_loss = params.astype(e1.dtype), dev
+            result.best_epoch = epoch
+        elif dev_set and epoch - result.best_epoch >= config.early_stop_patience:
+            logger.info("early stop after epoch %d (best epoch %d)", epoch, result.best_epoch)
+            break
+    return result

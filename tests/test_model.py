@@ -141,17 +141,24 @@ class TestEmbed:
             np.testing.assert_array_equal(tiny_model.embed(np.array([3, 7], dtype=dtype)).data,
                                           tiny_model.embed([3, 7]).data)
 
-    # a float must not be truncated to an id (5.9 to 5), nor a bool read as 0 or 1,
-    # also among ints, where numpy turns the list into int64
+    # a float must not be truncated to an id (5.9 to 5), nor a bool or a 0-d array read
+    # as an int, also among ints, where numpy turns the list into int64
     @pytest.mark.parametrize("ids", [[5.9, 6.2], [[5.9, 6.2]], [True, False, True], [[1, 2], [3]],
                                      [[1, 2], [3, 4]], ["5"], 5, [True, 5], [5, 6, False],
-                                     [np.True_, 5], (7, np.bool_(0))],
+                                     [np.True_, 5], (7, np.bool_(0)), [np.array(True), 5],
+                                     [5, np.array(6)], [np.array([5]), 6]],
                              ids=["floats", "nested-floats", "bools", "ragged", "two-axes",
                                   "strings", "scalar", "bool-first", "bool-last", "numpy-bool",
-                                  "bool-in-tuple"])
+                                  "bool-in-tuple", "0-d-bool-array", "0-d-int-array",
+                                  "1-d-array-element"])
     def test_non_integer_ids_rejected(self, tiny_model, ids):
         with pytest.raises(VocabularyError, match="one axis of integers"):
             tiny_model.embed(ids)
+
+    def test_numpy_integer_scalars_accepted(self, tiny_model):
+        ids = [np.int32(3), np.int64(7), 0, np.uint8(27)]
+        np.testing.assert_array_equal(tiny_model.embed(ids).data,
+                                      tiny_model.embed([3, 7, 0, 27]).data)
 
 
 def reference_forward(model, x):

@@ -201,13 +201,13 @@ class TestQuestionLists:
 
 
 class TestNonIntegerIds:
-    """Both primitives hand token ids to `MicroLM.embed`, the one check,
+    """Both primitives hand token ids to `MicroLM.check_ids`, the one check,
     which must not truncate a float (5.9 to id 5) or read a bool as 0 or 1.
     A question's ids follow the separator's in one embedded list, so a
     question is the place to test what no integer can hide: floats, a
-    ragged nesting and bools (numpy reads bools among ints as 0 and 1),
-    which must also fail as a passage before the passages are grouped by
-    their ids."""
+    ragged nesting, bools and 0-d arrays (numpy reads them among ints as
+    ints), which must also fail as a passage before the passages are
+    grouped by their ids."""
 
     FLOATS, BOOLS, RAGGED = [5.9, 6.2], [True, False, True], [[5, 6], [7]]
 
@@ -229,8 +229,30 @@ class TestNonIntegerIds:
             loglik([[10, 11]] * 2, [[20, 21], self.BOOLS])
 
     def test_unhashable_integer_passage_ids_rejected(self, loglik):
-        with pytest.raises(VocabularyError, match="hashable integers"):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
             loglik([[10, 11]], [[np.array(5), np.array(6)]])
+
+    # a passage equal in value to another of the call must not merge into it unchecked
+    @pytest.mark.parametrize("twin", [[True, 5], [np.True_, 5], [np.array(True), 5],
+                                      [np.array(1), 5]],
+                             ids=["bool", "numpy-bool", "0-d-bool-array", "0-d-int-array"])
+    def test_passage_equal_in_value_to_an_integer_passage_rejected(self, loglik, twin):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([[10], [10]], [[1, 5], twin])
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([[10], [10]], [twin, [1, 5]])
+
+    @pytest.mark.parametrize("question", [[np.array(10), 11], [10, np.array(True)]],
+                             ids=["0-d-int-array", "0-d-bool-array"])
+    def test_zero_dimensional_arrays_in_questions_rejected(self, loglik, question):
+        with pytest.raises(VocabularyError, match="one axis of integers"):
+            loglik([question], [[20, 21]])
+
+    def test_numpy_integer_scalars_and_arrays_accepted(self, loglik):
+        expected = loglik([[10, 11], [12]], [[20, 21], [20, 21]]).data
+        for ids in ([np.int32(20), np.int64(21)], np.array([20, 21], dtype=np.int32)):
+            got = loglik([[np.int64(10), np.int32(11)], np.array([12])], [ids, [20, 21]]).data
+            np.testing.assert_array_equal(got, expected)
 
     def test_out_of_range_ids_rejected(self, loglik, demo_model):
         size = demo_model.config.vocab_size

@@ -470,6 +470,42 @@ class TestTrain:
             assert tensor is not final[name]
             np.testing.assert_array_equal(tensor.data, final[name].data)
 
+    # 12 overfit instances: 1 dev and 11 train, or 12 train, in 3 batches of at most 4;
+    # at the default rates dev loss stops improving after epoch 1 or 2
+    @pytest.mark.parametrize("epochs, overrides, stops", [
+        (1, {}, False), (2, {}, False), (3, {}, False), (6, {}, True),
+        (8, dict(lr_soft_prompt=2.0, lr_adapter=0.5), True),
+        (1, dict(dev_fraction=0.0), False), (2, dict(dev_fraction=0.0), False),
+        (3, dict(dev_fraction=0.0), False)])
+    def test_records_follow_one_epoch_loop(self, demo_model, params, epochs, overrides, stops):
+        """Epoch 0 is a dev pass with no steps; each later epoch logs its
+        steps, then its dev pass. The best epoch is the first with the least
+        dev loss (the last epoch without a dev set), and an early stop comes
+        `early_stop_patience` epochs after it."""
+        config = self.quick_config(epochs=epochs, **overrides)
+        result = train(config, overfit_setup(demo_model), demo_model, params)
+        dev = [r for r in result.log if "dev_loss" in r]
+        last = dev[-1]["epoch"] if config.dev_fraction else epochs
+        assert (last < epochs) == stops
+        expected = []
+        for epoch in range(last + 1):
+            expected += [("step", epoch)] * (3 if epoch else 0) + [("dev", epoch)] * bool(dev)
+        assert [("step" if "step" in r else "dev", r["epoch"]) for r in result.log] == expected
+        steps = [r["step"] for r in result.log if "step" in r]
+        assert steps == list(range(3 * last)) and result.steps == len(steps)
+        if not config.dev_fraction:
+            assert not dev and result.best_epoch == epochs and result.best_dev_loss is None
+            return
+        losses = [r["dev_loss"] for r in dev]
+        assert result.best_epoch == losses.index(min(losses))
+        assert result.best_dev_loss == min(losses)
+        assert [r["best"] for r in dev] == [i == 0 or x < min(losses[:i])
+                                            for i, x in enumerate(losses)]
+        if stops:
+            assert last - result.best_epoch == config.early_stop_patience
+        else:
+            assert last - result.best_epoch < config.early_stop_patience
+
     def test_validation_rejects_bad_config(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0).validate()
