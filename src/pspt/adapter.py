@@ -150,7 +150,7 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
     is a segment that continues it, so the passage is encoded once.
     `embed_passages` maps the ids of the distinct kept passages,
     concatenated, to one row per id, so the tensor work is done once for
-    the whole list.
+    the whole list; it gets them cut from the checked index array.
     """
     n_pre = prefix.shape[0]
     sep_ids = model.vocab.encode(SEPARATOR_TEXT)
@@ -166,10 +166,12 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
                 f"question ({len(q)}) exceed max_seq_len {model.config.max_seq_len}")
         kept.append((tuple(d)[:budget], q))
     # check every kept id before equal passages merge: (True, 5) == (1, 5) would hide a bool
-    model.check_ids([t for d, _ in kept for t in d])
+    ids = model.check_ids([t for d, _ in kept for t in d])
     uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
     first = dict(zip(uses, accumulate(map(len, uses), initial=n_pre)))  # first rows in the table
-    rows = embed_passages([t for d in uses for t in d])
+    # each distinct passage's slice of `ids` (equal passages have equal checked ids)
+    at = dict(zip((d for d, _ in kept), accumulate((len(d) for d, _ in kept), initial=0)))
+    rows = embed_passages(np.concatenate([ids[:0], *(ids[at[d]:at[d] + len(d)] for d in uses)]))
     index, lengths, parents = list(range(n_pre)), [n_pre], [-1]
     tail_ids, targets = [], []
     shared = {}  # a shared passage's segment and the row of its last separator token

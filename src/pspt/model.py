@@ -327,9 +327,7 @@ def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, ste
     for _ in range(steps):
         idx = rng.integers(0, len(seqs), size=batch_size)
         with trainable(tensors):
-            # the graph outlives opt.step(): freed before it, glibc re-faults the heap
-            mean_loss = _mean_sequence_nll(model, [seqs[int(i)] for i in idx])
-            T.backward(mean_loss)
+            T.backward(_mean_sequence_nll(model, [seqs[int(i)] for i in idx]))
             clip_global_norm(tensors, 1.0)
             opt.step()
 

@@ -68,8 +68,14 @@ class Adam:
             for p in tensors:
                 if p.grad is None:
                     continue
-                g = p.grad
-                m = self._m[id(p)] = b1 * self._m[id(p)] + (1 - b1) * g
-                v = self._v[id(p)] = b2 * self._v[id(p)] + (1 - b2) * (g * g)
-                update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                p.data = p.data - np.asarray(lr_t, dtype=p.data.dtype) * update.astype(p.data.dtype)
+                # in place, but p.grad (maybe shared) is only read and p.data is rebound
+                g, m, v = p.grad, self._m[id(p)], self._v[id(p)]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * (g * g)
+                update = np.divide(v, bias2)
+                np.add(np.sqrt(update, out=update), self.eps, out=update)
+                np.divide(m / bias1, update, out=update)
+                update *= np.asarray(lr_t, dtype=p.data.dtype)
+                p.data = p.data - update

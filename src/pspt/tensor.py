@@ -28,14 +28,16 @@ def make_rng(*key: int) -> np.random.Generator:
 
 
 class Tensor:
-    """A dense float array plus the graph edge that produced it.
+    """A dense float array, plus the graph node that produced it if any.
 
     Leaves created with requires_grad=False never receive a gradient
-    buffer. Results of operations require grad iff any input does; their
-    gradient lives only while `backward` passes it on.
+    buffer. Results of operations require grad iff any input does; such a
+    result holds a `_Node`, and the graph is made of nodes, not tensors: a
+    node keeps only the arrays its op's backward reads, so a result that
+    no backward reads is freed with its tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -50,8 +52,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,35 +83,68 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """An op result's graph edge and no result data: its gradient while
+    `backward` passes it on, the nodes of the op's inputs, the op's backward
+    closure (which holds the arrays it reads) and the result's shape and dtype."""
+
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype")
+
+    def __init__(self, parents: tuple[_Node, ...], backward: Callable[[np.ndarray], None],
+                 data: np.ndarray):
+        self.grad: np.ndarray | None = None
+        self.parents, self.backward = parents, backward
+        self.shape, self.dtype = data.shape, data.dtype
+
+
 def _as_tensor(x, dtype=None) -> Tensor:
     """Tensors pass through; other values become constants (of `dtype`, if given)."""
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add g into t's gradient; the first g is stored as given, not copied.
+def _target(t: Tensor) -> _Node | Tensor | None:
+    """Where t's gradient goes: its node, t itself if it is a leaf that
+    takes a gradient, or None. Backward closures hold this, not t; it has
+    t's shape and dtype."""
+    return t._node or (t if t.requires_grad else None)
+
+
+def _accumulate(t: Tensor | _Node, g: np.ndarray) -> None:
+    """Add g into the gradient of t, a leaf, an op result (its node) or a
+    node; the first g is stored as given, not copied.
 
     So a gradient may be a view of, or the same array as, another tensor's
     gradient or a backward intermediate. That is sound because nothing
     writes into a gradient array: this function and clip_global_norm bind
     a new one, and Adam only reads it. Keep it so.
     """
-    if not t.requires_grad:
+    if isinstance(t, Tensor):
+        t = _target(t)
+    if t is None:
         return
     if t.grad is None:
         g = np.asarray(g)
-        t.grad = g if g.dtype == t.data.dtype else g.astype(t.data.dtype)
+        t.grad = g if g.dtype == t.dtype else g.astype(t.dtype)
     else:
         t.grad = t.grad + g
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Wrap an op's result, with a node if any parent takes a gradient. The
+    graph keeps each op's saved arrays, not its result: `backward` holds what
+    it reads (the parents' `_target`s, saved arrays), never a parent itself."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = _Node(tuple(p._node for p in parents if p._node), backward, out.data)
     return out
+
+
+def _cross(a: Tensor, b: Tensor):
+    """Targets of a and b, and their data as a product's backward reads
+    it: a's data only if b takes a gradient, and b's only if a does."""
+    ta, tb = _target(a), _target(b)
+    return ta, tb, (None if tb is None else a.data), (None if ta is None else b.data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -127,19 +161,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out_data = a.data + b.data
+    targets = [_target(a), _target(b)]
 
     def backward(g):
-        for t in (a, b):
-            if t.requires_grad:
+        for t in targets:
+            if t is not None:
                 _accumulate(t, _unbroadcast(g, t.shape))
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def neg(a: Tensor) -> Tensor:
+    ta = _target(a)
+
     def backward(g):
-        _accumulate(a, -g)
+        _accumulate(ta, -g)
 
     return _make(-a.data, (a,), backward)
 
@@ -147,15 +183,15 @@ def neg(a: Tensor) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b, a.dtype)
-    out_data = a.data * b.data
+    ta, tb, a_data, b_data = _cross(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g * b_data, ta.shape))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(g * a_data, tb.shape))
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -172,30 +208,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError:
         raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} vs {b.shape}") from None
-    out_data = a.data @ b.data
+    ta, tb, a_data, b_data = _cross(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g @ np.swapaxes(b_data, -1, -2), ta.shape))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, tb.shape))
 
-    return _make(out_data, (a, b), backward)
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    ta = _target(a)
+
     def backward(g):
-        _accumulate(a, g.reshape(a.shape))
+        _accumulate(ta, g.reshape(ta.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     """Reorder axes (a view, like numpy's transpose)."""
-    inverse = np.argsort(axes)
+    ta, inverse = _target(a), np.argsort(axes)
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(ta, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -208,10 +246,10 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    ta, mask = _target(a), a.data > 0
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(ta, g * mask)
 
     return _make(a.data * mask, (a,), backward)
 
@@ -224,10 +262,10 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         raise NumericError("log_softmax_rows received non-finite input")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out_data = shifted - log_z
+    out_data, tx = shifted - log_z, _target(x)
 
     def backward(g):
-        _accumulate(x, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
+        _accumulate(tx, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _make(out_data, (x,), backward)
 
@@ -238,10 +276,10 @@ def softmax_rows(x: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows expects at least one axis, got {x.shape}")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data, tx = e / e.sum(axis=-1, keepdims=True), _target(x)
 
     def backward(g):
-        _accumulate(x, out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
+        _accumulate(tx, out_data * (g - (g * out_data).sum(axis=-1, keepdims=True)))
 
     return _make(out_data, (x,), backward)
 
@@ -258,15 +296,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
     out_data = xhat * gamma.data + beta.data
+    tx, t_gamma, t_beta, gamma_data = _target(x), _target(gamma), _target(beta), gamma.data
 
     def backward(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            _accumulate(beta, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            dxhat = g * gamma.data
-            _accumulate(x, inv / d * (
+        if t_gamma is not None:
+            _accumulate(t_gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+        if t_beta is not None:
+            _accumulate(t_beta, g.reshape(-1, d).sum(axis=0))
+        if tx is not None:
+            dxhat = g * gamma_data
+            _accumulate(tx, inv / d * (
                 d * dxhat
                 - dxhat.sum(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
@@ -332,9 +371,11 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
         out[..., mine, :] = w @ vc
         if keep:  # inference keeps one group's temporaries at a time
             saved.append((mine, keys, kc, vc, w))
+    targets = [_target(q), _target(k), _target(v)]
+    q_data = None if targets[1] is None else q.data  # only dk reads q
 
     def backward(g):
-        dq, dk, dv = (np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v))
+        dq, dk, dv = (None if t is None else np.zeros(t.shape, t.dtype) for t in targets)
         for mine, keys, kc, vc, w in saved:
             g_mine = g[..., mine, :]
             dw = g_mine @ np.swapaxes(vc, -1, -2)
@@ -342,12 +383,11 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
             if dq is not None:
                 dq[..., mine, :] = ds @ kc
             if dk is not None:
-                _add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q.data[..., mine, :])
+                _add_rows(dk, keys, np.swapaxes(ds, -1, -2) @ q_data[..., mine, :])
             if dv is not None:
                 _add_rows(dv, keys, np.swapaxes(w, -1, -2) @ g_mine)
-        for t, d in ((q, dq), (k, dk), (v, dv)):
-            if d is not None:
-                _accumulate(t, d)
+        for t, d in zip(targets, (dq, dk, dv)):
+            _accumulate(t, d)
 
     return _make(out, (q, k, v), backward)
 
@@ -420,13 +460,12 @@ def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
     """Select rows of a 2-D tensor; backward scatter-adds into them."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got {a.shape}")
-    idx = np.asarray(ids, dtype=np.int64)
+    idx, ta = np.asarray(ids, dtype=np.int64), _target(a)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            _accumulate(a, ga)
+        ga = np.zeros(ta.shape, ta.dtype)
+        np.add.at(ga, idx, g)
+        _accumulate(ta, ga)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -437,12 +476,12 @@ def take_entries(x: Tensor, rows, cols) -> Tensor:
     c = np.asarray(cols, dtype=np.int64)
     if r.shape != c.shape:
         raise ShapeError(f"take_entries index lengths disagree: {r.shape} vs {c.shape}")
+    tx = _target(x)
 
     def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (r, c), g)
-            _accumulate(x, gx)
+        gx = np.zeros(tx.shape, tx.dtype)
+        np.add.at(gx, (r, c), g)
+        _accumulate(tx, gx)
 
     return _make(x.data[r, c], (x,), backward)
 
@@ -454,10 +493,11 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if min(p.ndim for p in parts) < 1 or len({p.shape[1:] for p in parts}) != 1:
         raise ShapeError(f"concat_rows shape mismatch: {[p.shape for p in parts]}")
     offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    targets = [_target(p) for p in parts]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
+            _accumulate(t, g[lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
 
@@ -467,10 +507,11 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
         raise ContractError("concat_cols needs at least one part")
     sizes = [p.shape[1] for p in parts]
     offsets = np.cumsum([0] + sizes)
+    targets = [_target(p) for p in parts]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
+            _accumulate(t, g[:, lo:hi])
 
     return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
 
@@ -478,20 +519,22 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
+    ta = _target(a)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[:, start:stop] = g
-            _accumulate(a, ga)
+        ga = np.zeros(ta.shape, ta.dtype)
+        ga[:, start:stop] = g
+        _accumulate(ta, ga)
 
     return _make(a.data[:, start:stop].copy(), (a,), backward)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum of all entries as a scalar tensor, or over one axis."""
+    ta = _target(a)
+
     def backward(g):
-        _accumulate(a, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
+        _accumulate(ta, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), ta.shape))
 
     return _make(np.asarray(a.data.sum(axis=axis), dtype=a.data.dtype), (a,), backward)
 
@@ -499,20 +542,20 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Add the loss's gradient into every leaf it depends on.
 
-    Visits the graph in reverse topological order exactly once. An
-    interior node (an op result) hands its gradient to its op's backward
-    and drops it, so each buffer is freed once used: after the call only
-    leaves hold a grad, and a second call on the same graph adds the same
-    gradients again. Tensors created with requires_grad=False are left
-    untouched.
+    Walks the loss's graph of nodes in reverse topological order, each
+    node once. A node hands its gradient to its op's backward and drops
+    it, so each buffer is freed once used: after the call only leaves hold
+    a grad, and a second call on the same graph adds the same gradients
+    again. The graph keeps each op's saved arrays, not its result, so an
+    activation that no backward reads is freed when the forward drops it.
+    Tensors created with requires_grad=False are left untouched.
     """
     if loss.ndim != 0:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-    order: list[Tensor] = []
+    _accumulate(loss, np.ones_like(loss.data))
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(loss._node, False)] if loss._node else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -522,11 +565,10 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
+        for p in node.parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+        if node.grad is not None:
             g, node.grad = node.grad, None
-            node._backward(g)
+            node.backward(g)

@@ -254,6 +254,27 @@ class TestNonIntegerIds:
             got = loglik([[np.int64(10), np.int32(11)], np.array([12])], [ids, [20, 21]]).data
             np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("passages", [[[20, 21, 22], [23, 24], [25]],
+                                          [[20, 21, 22], [23, 24], [20, 21, 22]]],
+                             ids=["distinct", "repeated"])
+    def test_passage_ids_type_scanned_once_per_call(self, loglik, passages, monkeypatch):
+        """The kept passage ids are checked as one list; the distinct
+        passages reach `embed_passages` as a slice of the checked array."""
+        questions, scanned = [[10, 11], [12], [13]], []
+        check = MicroLM.check_ids
+
+        def spy(model, ids):
+            if not isinstance(ids, np.ndarray):
+                scanned.append(list(ids))
+            return check(model, ids)
+
+        monkeypatch.setattr(MicroLM, "check_ids", spy)
+        got = loglik(questions, passages).data
+        monkeypatch.undo()
+        assert [s for s in scanned if set(s) & {20, 21, 22, 23, 24, 25}] == [sum(passages, [])]
+        want = loglik(questions, [np.array(d) for d in passages]).data
+        assert got.tobytes() == want.tobytes()
+
     def test_out_of_range_ids_rejected(self, loglik, demo_model):
         size = demo_model.config.vocab_size
         with pytest.raises(VocabularyError, match=f"token id {size} outside vocabulary"):
@@ -441,7 +462,7 @@ class TestGraphFreeScoring:
     def test_loaded_params_score_without_graph(self, demo_model, loaded):
         scores = question_loglik(self.QUESTIONS, self.PASSAGES, loaded, demo_model)
         assert not scores.requires_grad
-        assert scores._parents == () and scores._backward is None
+        assert scores._node is None
 
     def test_scores_bitwise_equal_to_those_inside_trainable(self, demo_model, loaded):
         free = question_loglik(self.QUESTIONS, self.PASSAGES, loaded, demo_model)

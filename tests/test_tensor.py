@@ -1,5 +1,7 @@
 """Tensor ops and reverse-mode gradients checked against finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,33 @@ class TestBackward:
         np.testing.assert_array_equal(shared, before)
         np.testing.assert_allclose(a.data, b.data)
         assert np.all(a.data < 0)
+
+    # case: (the op whose result is dropped, the rest of the graph), which never reads that result
+    NOT_READ = {
+        "matmul-result-into-add": (lambda x, w: T.matmul(x, w), lambda mid, w: T.add(mid, 1.0)),
+        "frozen-weight-matmul-input": (lambda x, w: T.add(x, 1.0), lambda mid, w: T.matmul(mid, w)),
+        "input-of-mul-by-a-constant": (lambda x, w: T.add(x, 1.0), lambda mid, w: T.mul(mid, 3.0)),
+    }
+
+    @pytest.mark.parametrize("case", NOT_READ)
+    def test_a_buffer_no_backward_reads_is_freed_with_its_tensor(self, case):
+        first, rest = self.NOT_READ[case]
+        rng = T.make_rng(37)
+        x0, w0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+        def x_grad(drop):
+            x = T.Tensor(x0, requires_grad=True)
+            w = T.Tensor(w0, requires_grad=case == "matmul-result-into-add")
+            mid = first(x, w)
+            loss = T.tsum(rest(mid, w))
+            buffer = weakref.ref(mid.data)
+            if drop:
+                del mid
+            assert (buffer() is None) == drop
+            T.backward(loss)
+            return x.grad
+
+        np.testing.assert_array_equal(x_grad(drop=True), x_grad(drop=False))
 
     def test_composed_graph_matches_finite_differences(self):
         rng = T.make_rng(29)
@@ -659,3 +688,37 @@ class TestGroupedAttention:
         arrays = [self.rng.normal(size=s) for s in (q_shape, shape, shape)]
         check_gradients(lambda t: weighted(T.block_attention(t[0], t[1], t[2], sizes, parents,
                                                              0.6, q_rows)), arrays, tol=1e-5)
+
+
+class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_steps_equal_the_out_of_place_formula_bitwise(self, dtype):
+        """In-place moments and update give the bits of the textbook formula,
+        with two leaves reading one shared gradient array and never writing it."""
+        rng = T.make_rng(53)
+        a, b, c = (T.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                   for s in ((3, 4), (3, 4), (5,)))
+        groups = [([a, b], 0.01), ([c], 0.003)]
+        opt = Adam(groups)
+        b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+        ref = {id(p): (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in (a, b, c)}
+        for t in range(1, 8):
+            a.grad = b.grad = shared = rng.normal(size=(3, 4)).astype(dtype)
+            c.grad = rng.normal(size=5).astype(dtype)
+            grads = {id(p): p.grad.copy() for p in (a, b, c)}
+            old = a.data
+            scale = 1.0 - t / 10
+            opt.step(scale)
+            np.testing.assert_array_equal(shared, grads[id(a)])
+            assert a.data is not old  # a new array, so an update norm can compare both
+            for tensors, lr in groups:
+                for p in tensors:
+                    data, m, v = ref[id(p)]
+                    g = grads[id(p)]
+                    m = b1 * m + (1 - b1) * g
+                    v = b2 * v + (1 - b2) * (g * g)
+                    update = (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+                    data = data - np.asarray(lr * scale, dtype=dtype) * update.astype(dtype)
+                    ref[id(p)] = data, m, v
+                    assert p.data.dtype == dtype and p.data.tobytes() == data.tobytes()
