@@ -51,7 +51,6 @@ def _default(fn, name: str):
 
 DEFAULTS: dict = {
     "seed": 0,
-    "workers": 1,
     "model": {
         **_ARCHITECTURE,
         "vocab_cap": _default(Vocabulary.from_texts, "cap"),
@@ -303,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Soft-prompt passage reranking workflows")
     parser.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument("--workers", type=int,
-                        help="override config worker count (accepted; has no effect)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, help_text):

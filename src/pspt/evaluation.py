@@ -72,10 +72,12 @@ class QaDataset:
 
 
 def _checked_id(line_no: int, kind: str, value) -> str:
-    """`value` as an id that a run file's whitespace-separated line can hold."""
+    """`value`, a JSON string or integer (not a bool), as an id that a run
+    file's whitespace-separated line can hold."""
     text = str(value)
-    if text.split() != [text]:
-        raise ParseError(line_no, f"{kind} {text!r} is empty or contains whitespace")
+    if isinstance(value, bool) or not isinstance(value, (str, int)) or text.split() != [text]:
+        raise ParseError(line_no, f"{kind} {value!r} is not a string or an integer, "
+                                  "or is empty or contains whitespace")
     return text
 
 
@@ -102,9 +104,13 @@ def _parse_question_record(line_no: int, rec) -> Question:
         if not isinstance(p["relevant"], bool):
             raise ParseError(line_no, f"passage {pid!r}: relevant must be true or false, "
                                       f"got {p['relevant']!r}")
-        passages.append(Passage(pid, str(p["text"]), p["relevant"]))
+        if not isinstance(p["text"], str):
+            raise ParseError(line_no, f"passage {pid!r}: text must be a string, got {p['text']!r}")
+        passages.append(Passage(pid, p["text"], p["relevant"]))
+    if not isinstance(rec["question_text"], str):
+        raise ParseError(line_no, f"question_text must be a string, got {rec['question_text']!r}")
     return Question(_checked_id(line_no, "question_id", rec["question_id"]),
-                    str(rec["question_text"]), passages)
+                    rec["question_text"], passages)
 
 
 def load_dataset(path) -> QaDataset:
@@ -188,9 +194,13 @@ def read_run_file(path) -> RetrievalRun:
                     qid, rank = _checked_id(line_no, "query_id", rec["query_id"]), rec["rank"]
                     if not isinstance(rank, int) or isinstance(rank, bool):
                         raise ValueError(f"rank {rank!r} is not an integer")
+                    if isinstance(rec["score"], bool):
+                        raise ValueError(f"score {rec['score']!r} is not a number")
                     entry = RunEntry(_checked_id(line_no, "passage_id", rec["passage_id"]), rank,
                                      float(rec["score"]))
-                    line_tag = str(rec.get("tag", "run"))
+                    line_tag = rec.get("tag", "run")
+                    if not isinstance(line_tag, str) or line_tag.split() != [line_tag]:
+                        raise ValueError(f"tag {line_tag!r} is not a string without whitespace")
                 except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                     raise ParseError(line_no, f"bad JSON run record: {exc}") from exc
             else:

@@ -456,18 +456,43 @@ def _add_rows(dst: np.ndarray, spans: list[slice], src: np.ndarray) -> None:
         at += n
 
 
+def _index(a: Tensor, key) -> Tensor:
+    """a.data[key] for an index of integer arrays (and slices); backward
+    scatter-adds the gradient into zeros, so a repeated index sums."""
+    ta = _target(a)
+
+    def backward(g):
+        ga = np.zeros(ta.shape, ta.dtype)
+        np.add.at(ga, key, g)
+        _accumulate(ta, ga)
+
+    return _make(a.data[key], (a,), backward)
+
+
+def _concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along axis 0 or 1; backward hands each part its slice
+    of the gradient."""
+    name = ("concat_rows", "concat_cols")[axis]
+    if not parts:
+        raise ContractError(f"{name} needs at least one part")
+    shapes = [p.shape for p in parts]
+    if min(map(len, shapes)) <= axis or len({s[:axis] + s[axis + 1:] for s in shapes}) != 1:
+        raise ShapeError(f"{name} shape mismatch: {shapes}")
+    offsets = list(accumulate((s[axis] for s in shapes), initial=0))
+    targets = [_target(p) for p in parts]
+
+    def backward(g):
+        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
+            _accumulate(t, g[(slice(None),) * axis + (slice(lo, hi),)])
+
+    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), backward)
+
+
 def gather_rows(a: Tensor, ids: Sequence[int]) -> Tensor:
     """Select rows of a 2-D tensor; backward scatter-adds into them."""
     if a.ndim != 2:
         raise ShapeError(f"gather_rows expects a 2-D tensor, got {a.shape}")
-    idx, ta = np.asarray(ids, dtype=np.int64), _target(a)
-
-    def backward(g):
-        ga = np.zeros(ta.shape, ta.dtype)
-        np.add.at(ga, idx, g)
-        _accumulate(ta, ga)
-
-    return _make(a.data[idx], (a,), backward)
+    return _index(a, np.asarray(ids, dtype=np.int64))
 
 
 def take_entries(x: Tensor, rows, cols) -> Tensor:
@@ -476,57 +501,23 @@ def take_entries(x: Tensor, rows, cols) -> Tensor:
     c = np.asarray(cols, dtype=np.int64)
     if r.shape != c.shape:
         raise ShapeError(f"take_entries index lengths disagree: {r.shape} vs {c.shape}")
-    tx = _target(x)
-
-    def backward(g):
-        gx = np.zeros(tx.shape, tx.dtype)
-        np.add.at(gx, (r, c), g)
-        _accumulate(tx, gx)
-
-    return _make(x.data[r, c], (x,), backward)
+    return _index(x, (r, c))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack tensors along axis 0; backward splits the gradient."""
-    if not parts:
-        raise ContractError("concat_rows needs at least one part")
-    if min(p.ndim for p in parts) < 1 or len({p.shape[1:] for p in parts}) != 1:
-        raise ShapeError(f"concat_rows shape mismatch: {[p.shape for p in parts]}")
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-    targets = [_target(p) for p in parts]
-
-    def backward(g):
-        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=0), tuple(parts), backward)
+    return _concat(parts, 0)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one part")
-    sizes = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    targets = [_target(p) for p in parts]
-
-    def backward(g):
-        for t, lo, hi in zip(targets, offsets[:-1], offsets[1:]):
-            _accumulate(t, g[:, lo:hi])
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), tuple(parts), backward)
+    return _concat(parts, 1)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of a 2-D tensor, as a copy."""
     if a.ndim != 2:
         raise ShapeError(f"slice_cols expects a 2-D tensor, got {a.shape}")
-    ta = _target(a)
-
-    def backward(g):
-        ga = np.zeros(ta.shape, ta.dtype)
-        ga[:, start:stop] = g
-        _accumulate(ta, ga)
-
-    return _make(a.data[:, start:stop].copy(), (a,), backward)
+    return _index(a, (slice(None), np.arange(*slice(start, stop).indices(a.shape[1]))))
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:

@@ -78,7 +78,7 @@ class TrainConfig:
             "grad_clip": self.grad_clip,
         }
         for name, value in positive.items():
-            if value <= 0:
+            if not value > 0:  # so NaN fails too
                 raise ConfigError(f"{name} must be positive, got {value}")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
@@ -88,7 +88,7 @@ class TrainConfig:
         if not 0.0 <= self.dev_fraction < 1.0:
             raise ConfigError("dev_fraction must lie in [0, 1)")
         weights = (self.point_weight, self.pair_weight)
-        if min(weights) < 0 or max(weights) == 0:
+        if not all(w >= 0 for w in weights) or max(weights) == 0:
             raise ConfigError(f"point_weight and pair_weight {weights} must be "
                               "non-negative and not both 0")
 

@@ -71,6 +71,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train.epochz"):
             load_config(path)
 
+    def test_workers_key_and_flag_removed(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"workers": 1}))
+        assert main(["--config", str(path), "eval", "--run", "x.run"]) == 1
+        assert "unknown config keys: workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "1", "eval", "--run", "x.run"])
+        assert exc.value.code == 2
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -391,16 +400,6 @@ class TestRerank:
         assert reranked.tag == "upr"
         for qid in original.queries:
             assert sorted(reranked.ranked_ids(qid)) == sorted(original.ranked_ids(qid))
-
-    def test_worker_count_does_not_change_bytes(self, workspace, trained, tmp_path):
-        outs = []
-        for workers in ("1", "4"):
-            out = tmp_path / f"w{workers}.run"
-            assert main(["--config", workspace["config"], "--workers", workers,
-                         "rerank", "--run-in", workspace["run"], "--run-out", str(out),
-                         "--scorer", "upr", "--checkpoint", str(trained["model"])]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
     def test_upr_inst_requires_example(self, workspace, trained, tmp_path):
         out = tmp_path / "x.run"

@@ -76,6 +76,25 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="line 2: .* is empty or contains whitespace"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("question_id", None), ("question_id", True), ("question_id", 1.5),
+        ("passage_id", None), ("passage_id", True), ("passage_id", ["p1"]),
+        ("question_text", None), ("question_text", 3), ("text", None), ("text", ["a"])])
+    def test_non_string_value_rejected_not_stringified(self, tmp_path, field, value):
+        record = json.loads(make_record("q1", "x", [("p1", "a", True)]))
+        (record["passages"][0] if field in ("passage_id", "text") else record)[field] = value
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [json.dumps(record)])
+        with pytest.raises(ParseError, match=f"line 1: .*{field}"):
+            load_dataset(path)
+
+    def test_integer_ids_read_as_their_digits(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_lines(path, [json.dumps({"question_id": 7, "question_text": "x", "passages": [
+            {"passage_id": 12, "text": "a", "relevant": True}]})])
+        ds = load_dataset(path)
+        assert ds.by_id["7"].passages[0].passage_id == "12"
+
     def test_roundtrip_through_save(self, tmp_path):
         ds = QaDataset([Question("q1", "hello", [Passage("p1", "world", True)])])
         path = tmp_path / "d.jsonl"
@@ -392,6 +411,24 @@ class TestRunFiles:
         write_lines(path, [json.dumps(record)])
         with pytest.raises(ParseError, match="line 1: .* is empty or contains whitespace"):
             read_run_file(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("query_id", None), ("query_id", True), ("passage_id", False), ("passage_id", 1.5),
+        ("score", True), ("tag", ["x"]), ("tag", None), ("tag", 3), ("tag", "a b"), ("tag", "")])
+    def test_jsonl_value_of_the_wrong_type_rejected_not_stringified(self, tmp_path, field, value):
+        path = tmp_path / "run.jsonl"
+        record = {"query_id": "q1", "passage_id": "a", "rank": 1, "score": 1.0, "tag": "t",
+                  field: value}
+        write_lines(path, [json.dumps(record)])
+        with pytest.raises(ParseError, match=f"line 1: .*{field}"):
+            read_run_file(path)
+
+    def test_jsonl_numeric_string_score_and_integer_ids_accepted(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        write_lines(path, [json.dumps({"query_id": 1, "passage_id": 2, "rank": 1,
+                                       "score": "0.5"})])
+        run = read_run_file(path)
+        assert run.tag == "run" and run.queries["1"] == [RunEntry("2", 1, 0.5)]
 
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -38,8 +38,8 @@ BASE_CONFIG = {
     "paths": {"dataset": "data.jsonl", "output_dir": "out"},
 }
 
-# the command that reads each config section; "seed", "workers" and
-# "paths" are read by every command
+# the command that reads each config section; "seed" and "paths" are
+# read by every command
 SECTION_COMMAND = {
     "model": ["init-model"],
     "adapter": ["train"],

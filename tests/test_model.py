@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspt import tensor as T
 from pspt.adapter import init_pspt_params
@@ -36,6 +38,7 @@ from pspt.model import (
     pretrain_micro_lm,
     tokenize_text,
 )
+from pspt.optim import trainable
 from pspt.scoring import question_loglik, score_pspt
 from pspt.training import write_train_log
 
@@ -360,6 +363,93 @@ class TestPackedForward:
     def test_empty_rows_give_no_distributions(self, tiny_model):
         x = T.Tensor(np.zeros((4, 32), dtype=np.float32))
         assert tiny_model.forward_logprobs(x, rows=[]).shape == (0, tiny_model.config.vocab_size)
+
+
+@st.composite
+def packed_trees(draw):
+    """Segments of 1-3 rows, each a root or continuing an earlier segment
+    on a chain of at most 4 segments; and the rows to read: None (every
+    row) or 1-12 drawn rows, repeated and unsorted, of one or two axes,
+    drawn from the non-root segments alone if asked (unqueried roots)."""
+    lengths, parents, depth = [], [], []
+    for j in range(draw(st.integers(1, 8))):
+        lengths.append(draw(st.integers(1, 3)))
+        parents.append(draw(st.sampled_from([i for i in range(j) if depth[i] < 4] + [-1])))
+        depth.append(1 if parents[j] < 0 else depth[parents[j]] + 1)
+    starts = np.cumsum([0, *lengths])
+    rows = None
+    if draw(st.booleans()):
+        skip_roots = draw(st.booleans()) and max(parents) >= 0
+        pool = [r for j, p in enumerate(parents) if p >= 0 or not skip_roots
+                for r in range(starts[j], starts[j + 1])]
+        rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)))
+        if draw(st.booleans()):
+            rows = rows.reshape(-1, draw(st.sampled_from(
+                [d for d in range(1, rows.size + 1) if rows.size % d == 0])))
+    return lengths, parents, rows, draw(st.integers(0, 2**16))
+
+
+def chain_rows(lengths, parents, j):
+    """Rows of segment j's chain: each ancestor's, root first, then its own."""
+    starts = np.cumsum([0, *lengths])
+    chain = []
+    while j >= 0:
+        chain[:0] = range(starts[j], starts[j + 1])
+        j = parents[j]
+    return np.array(chain)
+
+
+oracle = settings(database=None, deadline=None, derandomize=True, max_examples=100)
+
+
+class TestRandomTreeOracle:
+    """The packed forward, with its shared segments, last layer on read
+    rows only and attention per group, equals each segment's chain run
+    alone, forward and backward, on random trees and rows (float64)."""
+
+    @oracle
+    @given(case=packed_trees())
+    def test_forward_equals_reference_over_each_chain(self, tiny_model, case):
+        lengths, parents, rows, seed = case
+        model = tiny_model.astype(np.float64)
+        x = T.make_rng(seed).normal(0, 0.5, size=(sum(lengths), 32))
+        want = np.concatenate([
+            reference_forward(model, x[chain_rows(lengths, parents, j)])[-n:]
+            for j, n in enumerate(lengths)])
+        got = model.forward_logprobs(T.Tensor(x), lengths, parents, rows).data
+        np.testing.assert_allclose(got, want if rows is None else want[rows], atol=1e-10, rtol=0)
+
+    @oracle
+    @given(case=packed_trees())
+    def test_backward_equals_gradient_over_unpacked_chains(self, tiny_model, case):
+        lengths, parents, rows, seed = case
+        rng = T.make_rng(seed)
+        x = rng.normal(0, 0.5, size=(sum(lengths), 32))
+        packed, unpacked = tiny_model.astype(np.float64), tiny_model.astype(np.float64)
+        with trainable(packed.params.values()), trainable(unpacked.params.values()):
+            x_packed = T.Tensor(x, requires_grad=True)
+            out = packed.forward_logprobs(x_packed, lengths, parents, rows)
+            w = rng.normal(size=out.shape)
+            T.backward(T.tsum(T.mul(out, w)))
+
+            # the same functional, each read row taken from its segment's chain run alone
+            x_unpacked = T.Tensor(x, requires_grad=True)
+            read = np.arange(len(x)) if rows is None else rows.reshape(-1)
+            w = w.reshape(read.size, -1)
+            segment = np.repeat(np.arange(len(lengths)), lengths)[read]
+            loss = T.Tensor(0.0, dtype=np.float64)
+            for j in np.unique(segment):
+                chain = chain_rows(lengths, parents, j)
+                mine = np.flatnonzero(segment == j)
+                logprobs = unpacked.forward_logprobs(T.gather_rows(x_unpacked, chain))
+                picked = T.gather_rows(logprobs, np.searchsorted(chain, read[mine]))
+                loss = T.add(loss, T.tsum(T.mul(picked, w[mine])))
+            T.backward(loss)
+
+            np.testing.assert_allclose(x_packed.grad, x_unpacked.grad, atol=1e-10, rtol=0)
+            for name, p in packed.params.items():
+                np.testing.assert_allclose(p.grad, unpacked.params[name].grad, atol=1e-10,
+                                           rtol=0, err_msg=name)
 
 
 class TestPrecision:

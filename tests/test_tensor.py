@@ -307,6 +307,22 @@ class TestGatherAndConcat:
         T.backward(T.tsum(out))
         np.testing.assert_array_equal(x.grad, np.ones((3, 8)))
 
+    def test_concat_cols_of_different_row_counts_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match=r"concat_cols.*\(2, 3\).*\(3, 3\)"):
+            T.concat_cols([T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 3)))])
+
+    @pytest.mark.parametrize("join", [T.concat_rows, T.concat_cols])
+    def test_joining_no_parts_is_a_contract_error(self, join):
+        with pytest.raises(ContractError, match=join.__name__):
+            join([])
+
+    def test_slice_cols_returns_a_copy(self):
+        x = T.Tensor(np.arange(12.0).reshape(3, 4))
+        out = T.slice_cols(x, 1, 3)
+        assert not np.shares_memory(out.data, x.data)
+        out.data[:] = -1.0
+        np.testing.assert_array_equal(x.data, np.arange(12.0).reshape(3, 4))
+
 
 class TestFiniteDiff:
     def test_square_function(self):

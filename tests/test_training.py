@@ -517,6 +517,12 @@ class TestTrain:
         with pytest.raises(ConfigError, match="point_weight and pair_weight"):
             TrainConfig(point_weight=point, pair_weight=pair).validate()
 
+    @pytest.mark.parametrize("field", ["lr_soft_prompt", "lr_adapter", "grad_clip",
+                                       "point_weight", "pair_weight"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: math.nan}).validate()
+
     @pytest.mark.parametrize("point, pair", [(0.0, 1.0), (1.0, 0.0)])
     def test_one_loss_weight_at_zero_accepted(self, point, pair):
         TrainConfig(point_weight=point, pair_weight=pair).validate()
