@@ -7,19 +7,17 @@ their outputs byte for byte. Selected keys can be overridden by flags.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
 import inspect
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
 from .adapter import SEPARATOR_TEXT, check_params_fit, init_pspt_params, load_params, save_params
 from .checkpoint import atomic_open, load_model, save_model
-from .errors import EXIT_OK, ConfigError, DataError, InputError, PsptError, report_error
+from .errors import (EXIT_OK, ArgumentParser, ConfigError, DataError, InputError, PsptError,
+                     report_error)
 from .evaluation import (
     RetrievalRun,
     RunEntry,
@@ -219,10 +217,11 @@ def cmd_pretrain(config: dict, args) -> int:
 
 
 def cmd_train(config: dict, args) -> int:
+    train_config = TrainConfig(**config["train"], seed=config["seed"])
+    train_config.validate()  # before any file is read
     dataset = _require_dataset(config, args)
     model = load_model(_out_path(config, "model_checkpoint", args.checkpoint))
     params = init_pspt_params(model, **config["adapter"], seed=config["seed"])
-    train_config = TrainConfig(**config["train"], seed=config["seed"])
     instances = build_instances(dataset, seed=config["seed"],
                                 sample_size=train_config.train_sample_size, vocab=model.vocab)
     result = train(train_config, instances, model, params)
@@ -297,9 +296,8 @@ def cmd_eval(config: dict, args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pspt",
-                                     description="Soft-prompt passage reranking workflows")
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(prog="pspt", description="Soft-prompt passage reranking workflows")
     parser.add_argument("--config", help="JSON config file (defaults apply if omitted)")
     parser.add_argument("--seed", type=int, help="override config seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,12 +344,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PSPT_LOG", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed

@@ -2,9 +2,10 @@
 
 The command-line tools map these onto exit codes with `report_error`:
 configuration problems exit 1, data problems exit 2, numeric failures
-exit 3.
+exit 3. A command-line usage error is a configuration problem.
 """
 
+import argparse
 import sys
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -56,6 +57,15 @@ class ParseError(DataError):
 
 class InputError(PsptError):
     """Invalid runtime input (runs, candidate lists, metric vectors)."""
+
+
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ConfigError after the
+    usage line, instead of exiting the process with code 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 # error kinds in the order they are tested, with their exit codes

@@ -9,7 +9,6 @@ same fields are accepted as an alternative input format.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -19,8 +18,6 @@ import numpy as np
 from .checkpoint import atomic_open
 from .errors import ConfigError, ContractError, DataError, InputError, ParseError
 from .model import tokenize_text
-
-logger = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -50,7 +47,9 @@ class QaDataset:
         self._passage_texts: dict[str, str] = {}
         for q in self.questions:
             for p in q.passages:
-                self._passage_texts.setdefault(p.passage_id, p.text)
+                if self._passage_texts.setdefault(p.passage_id, p.text) != p.text:
+                    raise DataError(f"passage id {p.passage_id!r} names two texts: question "
+                                    f"{q.question_id!r} gives it another")
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -451,7 +450,6 @@ def evaluate(runs: list[RetrievalRun], dataset: QaDataset, k_list: list[int],
             relevant = dataset.relevant_ids(qid)
             if not relevant:
                 skipped.append(qid)
-                logger.info("query %s has no relevant passages; excluded from macro averages", qid)
                 continue
             ranked = run.ranked_ids(qid)
             row = {}

@@ -318,6 +318,9 @@ def holdout_split(corpus: list[list[int]], seed: int):
 def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, steps: int,
                          batch_size: int = 8, lr: float = 1e-3) -> None:
     """Run further LM training steps in place; the model is frozen between steps."""
+    if not (steps >= 0 and batch_size >= 1 and lr > 0):  # so NaN fails too
+        raise ConfigError(f"pretraining needs steps >= 0, batch_size >= 1 and lr > 0, "
+                          f"got {steps}, {batch_size} and {lr}")
     seqs = [s for s in corpus if s]
     if not seqs:
         raise DataError("pretraining corpus is empty")
@@ -336,6 +339,8 @@ def pretrain_micro_lm(corpus: list[list[int]], config: ModelConfig, vocab: Vocab
                       seed: int, steps: int, **options) -> MicroLM:
     """Initialize a model and fit it on the corpus train split, frozen on return.
     `options` are continue_pretraining's `batch_size` and `lr`."""
+    if not steps >= 0:
+        raise ConfigError(f"pretraining needs steps >= 0, got {steps}")
     if not [s for s in corpus if s]:
         raise DataError("pretraining corpus is empty")
     model = MicroLM.init(config, vocab, seed)

@@ -11,12 +11,11 @@ outside the top 5.
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from . import tensor as T
 from .adapter import SEPARATOR_TEXT
-from .errors import EXIT_OK, ConfigError, DataError, PsptError, report_error
+from .errors import EXIT_OK, ArgumentParser, ConfigError, DataError, PsptError, report_error
 from .evaluation import Passage, QaDataset, Question, bm25_run, save_dataset, write_run_file
 
 
@@ -133,6 +132,8 @@ def pack_sequences(units: list[list[int]], target_len: int, seed: int,
     and scoring with a long soft prompt would run on untrained position
     embeddings.
     """
+    if not target_len >= 1:
+        raise ConfigError(f"target_len must be at least 1, got {target_len}")
     if not any(map(len, units)):
         raise DataError("no unit to pack holds a token")
     rng = T.make_rng(seed, 41)
@@ -153,7 +154,7 @@ def pack_sequences(units: list[list[int]], target_len: int, seed: int,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="python -m pspt.synth",
         description="Generate a seeded synthetic QA dataset (JSON-lines). Exit codes "
                     "are those of the pspt CLI.")
@@ -165,8 +166,8 @@ def main(argv=None) -> int:
     parser.add_argument("--train-size", type=int, default=320)
     parser.add_argument("--bm25-run", help="write a BM25 run over the eval split (or all)")
     parser.add_argument("--k", type=int, default=10, help="BM25 run depth")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.k < 1:
             raise ConfigError(f"--k must be at least 1, got {args.k}")
         dataset = build_synthetic_dataset(SynthConfig(n_questions=args.questions, seed=args.seed))

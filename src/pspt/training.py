@@ -304,6 +304,5 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
             result.params, result.best_dev_loss = params.astype(e1.dtype), dev
             result.best_epoch = epoch
         elif dev_set and epoch - result.best_epoch >= config.early_stop_patience:
-            logger.info("early stop after epoch %d (best epoch %d)", epoch, result.best_epoch)
             break
     return result

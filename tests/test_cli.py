@@ -3,17 +3,23 @@
 import dataclasses
 import hashlib
 import json
+import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pspt
 from pspt.adapter import load_params
 from pspt.checkpoint import load_checkpoint_file, load_model, save_checkpoint_file
 from pspt.cli import DEFAULTS, load_config, main
 from pspt.errors import ConfigError
-from pspt.evaluation import read_run_file, save_dataset, write_run_file, bm25_run
+from pspt.evaluation import (QaDataset, Question, bm25_run, read_run_file, save_dataset,
+                             write_run_file)
 from pspt.model import ModelConfig, Vocabulary
 from pspt.synth import SynthConfig, build_synthetic_dataset
 
@@ -76,9 +82,9 @@ class TestConfig:
         path.write_text(json.dumps({"workers": 1}))
         assert main(["--config", str(path), "eval", "--run", "x.run"]) == 1
         assert "unknown config keys: workers" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main(["--workers", "1", "eval", "--run", "x.run"])
-        assert exc.value.code == 2
+        assert main(["--workers", "1", "eval", "--run", "x.run"]) == 1
+        assert "config error: pspt: argument command: invalid choice: '1'" in (
+            capsys.readouterr().err)
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -309,7 +315,62 @@ def trained(workspace):
     return {"model": model_path, "theta": theta_path, "log": log_path}
 
 
+class TestUsageErrors:
+    """A command line argparse rejects is a configuration error (exit 1),
+    reported after the usage line like any other error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bogus", "eval", "--run", "x.run"], "pspt: unrecognized arguments: --bogus"),
+        (["rerank"], "pspt rerank: the following arguments are required: --run-in, --run-out"),
+        (["rerank", "--run-in", "a", "--run-out", "b", "--scorer", "bm25"],
+         "pspt rerank: argument --scorer: invalid choice: 'bm25'"),
+        (["--seed", "x", "eval", "--run", "x.run"],
+         "pspt: argument --seed: invalid int value: 'x'"),
+        ([], "pspt: the following arguments are required: command"),
+    ], ids=["unknown-flag", "missing-required-flag", "bad-choice", "bad-int", "no-command"])
+    def test_usage_error_is_exit_1(self, capsys, argv, message):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pspt") and f"config error: {message}" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["rerank", "--help"]])
+    def test_help_is_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: pspt")
+
+    def test_main_leaves_the_root_logger_as_found(self, workspace):
+        root = logging.getLogger()
+        found, level = root.handlers[:], root.level
+        root.handlers.clear()
+        try:
+            assert main(["--config", workspace["config"], "eval", "--run", "missing.run"]) == 2
+            assert root.handlers == [] and root.level == level
+        finally:
+            root.handlers[:] = found
+
+
 class TestTrain:
+    def test_skipped_question_is_a_warning_on_stderr(self, workspace, trained, tmp_path):
+        """A question without a negative is left out of training, and a plain
+        `pspt train` process says so on stderr."""
+        dataset = workspace["dataset"]
+        first = dataset.questions[0]
+        positives = [p for p in first.passages if p.relevant]
+        save_dataset(QaDataset([Question(first.question_id, first.text, positives),
+                                *dataset.questions[1:]]), tmp_path / "d.jsonl")
+        src = Path(pspt.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-m", "pspt.cli", "--config", workspace["config"], "train",
+             "--dataset", str(tmp_path / "d.jsonl"), "--checkpoint", str(trained["model"]),
+             "--out", str(tmp_path / "theta.ckpt"), "--log", str(tmp_path / "log.jsonl")],
+            capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == (f"skipping question {first.question_id}: needs a non-empty "
+                               "question, a positive, and a negative passage\n")
+
     def test_rerun_is_byte_identical(self, workspace, trained):
         theta2 = workspace["root"] / "theta2.ckpt"
         log2 = workspace["root"] / "train2.jsonl"
@@ -340,7 +401,10 @@ class TestTrain:
         ("adapter", {"soft_prompt_len": 94}, "soft prompt length 94"),  # 94 + 2 + 1 > 96
         ("train", {"point_weight": 0.0, "pair_weight": 0.0}, "point_weight and pair_weight"),
         ("train", {"pair_weight": -1.0}, "point_weight and pair_weight"),
-    ], ids=["soft-prompt-cannot-fit", "both-weights-zero", "negative-weight"])
+        # a config error, not "only 60 eligible questions, need 1000"
+        ("train", {"lr_adapter": -1.0, "train_sample_size": 1000}, "lr_adapter must be positive"),
+    ], ids=["soft-prompt-cannot-fit", "both-weights-zero", "negative-weight",
+            "bad-lr-and-too-few-questions"])
     def test_config_that_cannot_train_is_exit_1_before_writing(self, workspace, trained,
                                                                 tmp_path, capsys, section,
                                                                 values, message):

@@ -95,6 +95,16 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.by_id["7"].passages[0].passage_id == "12"
 
+    def test_passage_id_naming_two_texts_is_data_error(self):
+        """rerank looks a passage up by id, so an id must name the text that
+        BM25 retrieved and training saw under every question."""
+        shared = Passage("x", "alpha beta", True)
+        assert QaDataset([Question("q1", "a", [shared]),
+                          Question("q2", "b", [shared])]).passage_text("x") == "alpha beta"
+        with pytest.raises(DataError, match="passage id 'x' names two texts: question 'q2'"):
+            QaDataset([Question("q1", "a", [shared]),
+                       Question("q2", "b", [Passage("x", "totally different text", False)])])
+
     def test_roundtrip_through_save(self, tmp_path):
         ds = QaDataset([Question("q1", "hello", [Passage("p1", "world", True)])])
         path = tmp_path / "d.jsonl"

@@ -33,6 +33,7 @@ from pspt.model import (
     ModelConfig,
     Vocabulary,
     _mean_sequence_nll,
+    continue_pretraining,
     holdout_split,
     param_shapes,
     pretrain_micro_lm,
@@ -511,6 +512,22 @@ class TestPretraining:
     def test_empty_corpus_rejected(self, tiny_model):
         with pytest.raises(DataError):
             pretrain_micro_lm([], tiny_model.config, tiny_model.vocab, seed=0, steps=1)
+
+    @pytest.mark.parametrize("options", [{"batch_size": 0}, {"lr": float("nan")}, {"lr": 0.0},
+                                         {"steps": -1}],
+                             ids=["batch-size-0", "lr-NaN", "lr-0", "steps-negative"])
+    def test_bad_option_is_config_error(self, tiny_model, options):
+        model = MicroLM.init(tiny_model.config, tiny_model.vocab, seed=0)
+        checksum = model.checksum()
+        with pytest.raises(ConfigError, match="pretraining needs steps >= 0"):
+            continue_pretraining(model, toy_corpus(tiny_model.vocab), seed=0,
+                                 **{"steps": 2, **options})
+        assert model.checksum() == checksum
+
+    def test_negative_steps_rejected_before_init(self, tiny_model):
+        with pytest.raises(ConfigError, match="pretraining needs steps >= 0, got -1"):
+            pretrain_micro_lm(toy_corpus(tiny_model.vocab), tiny_model.config,
+                              tiny_model.vocab, seed=0, steps=-1)
 
 
 class TestAtomicWrites:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspt import scoring
 from pspt import tensor as T
@@ -362,6 +364,53 @@ class TestSharedPassageNearMaxSeqLen(PairsEqualAlone):
         which, lengths = [0, 0, 1, 0, 1, 0], [3, 7, 2, 3, 5, 1]
         questions = [[int(i) for i in rng.integers(8, 50, size=n)] for n in lengths]
         return [long[i] for i in which], questions
+
+
+@st.composite
+def pair_lists(draw):
+    """1-8 (passage, question) pairs over 1-4 distinct passages, so that
+    passages repeat under different questions; passages of 0-110 tokens, so
+    that the longest exceed demo_model's max_seq_len and are truncated;
+    questions of 1-8 tokens; a row budget, MAX_PACKED_ROWS or one that cuts
+    most lists into several forwards; and a seed for the token ids."""
+    n_distinct = draw(st.integers(1, 4))
+    passage_lengths = [draw(st.integers(0, 110)) for _ in range(n_distinct)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_distinct - 1), st.integers(1, 8)),
+                          min_size=1, max_size=8))
+    max_rows = draw(st.integers(1, 200)) if draw(st.booleans()) else scoring.MAX_PACKED_ROWS
+    return passage_lengths, pairs, max_rows, draw(st.integers(0, 2**16))
+
+
+@pytest.fixture(scope="module", params=["pspt", "upr"])
+def loglik64(request, demo_model):
+    """Each scoring primitive in float64, with a non-zero adapter for pspt."""
+    model = demo_model.astype(np.float64)
+    if request.param == "upr":
+        return lambda qs, ds: hard_prompt_loglik(qs, ds, model, DEFAULT_UPR_PROMPT)
+    theta = init_pspt_params(demo_model, soft_prompt_len=6, rank=1, alpha=16.0,
+                             seed=9).astype(np.float64)
+    theta.adapter.B.data = T.make_rng(59).normal(0, 0.1, theta.adapter.B.shape)
+    return lambda qs, ds: question_loglik(qs, ds, theta, model)
+
+
+class TestPairListOracle:
+    """A packed call over any pair list, with its shared passage segments,
+    padded question grid, truncation and row-budget cuts, equals each pair
+    scored alone (float64)."""
+
+    @settings(database=None, deadline=None, derandomize=True, max_examples=100)
+    @given(case=pair_lists())
+    def test_list_equals_each_pair_alone(self, loglik64, case):
+        passage_lengths, pairs, max_rows, seed = case
+        rng = T.make_rng(seed)
+        distinct = [[int(i) for i in rng.integers(8, 50, size=m)] for m in passage_lengths]
+        passages = [distinct[i] for i, _ in pairs]
+        questions = [[int(i) for i in rng.integers(8, 50, size=n)] for _, n in pairs]
+        alone = [loglik64([q], [d]).data[0] for d, q in zip(passages, questions)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scoring, "MAX_PACKED_ROWS", max_rows)
+            together = loglik64(questions, passages).data
+        np.testing.assert_allclose(together, alone, atol=1e-10, rtol=0)
 
 
 class PerText:

@@ -120,6 +120,10 @@ class TestPacking:
         with pytest.raises(DataError, match="no unit to pack holds a token"):
             pack_sequences(units, 5, seed=0)
 
+    def test_target_len_below_1_is_config_error(self):
+        with pytest.raises(ConfigError, match="target_len must be at least 1, got 0"):
+            pack_sequences([[4, 5]], target_len=0, seed=0)
+
     def test_pretraining_texts_cover_positives(self, dataset):
         texts = pretraining_texts(dataset)
         assert len(texts) == len(dataset.questions)
@@ -153,6 +157,26 @@ class TestMain:
                      "--train-size", size]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["d.jsonl", "--bogus"], "unrecognized arguments: --bogus"),
+        (["d.jsonl", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        ([], "the following arguments are required: out"),
+    ], ids=["unknown-flag", "bad-int", "no-out"])
+    def test_usage_error_is_exit_1_before_writing(self, tmp_path, capsys, monkeypatch, argv,
+                                                   message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: python -m pspt.synth")
+        assert f"config error: python -m pspt.synth: {message}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: python -m pspt.synth")
 
     def test_unwritable_output_is_exit_2(self, tmp_path, capsys):
         assert main([str(tmp_path)]) == 2
