@@ -148,23 +148,28 @@ def _require_dataset(config: dict, args=None):
     return load_dataset(path)
 
 
-def _pretraining_corpus(dataset, vocab, config: dict) -> list[list[int]]:
-    """Packed passage-then-question sequences over the whole position range."""
-    units = [vocab.encode(t) for t in pretraining_texts(dataset)]
-    units = [u for u in units if u]
+def _pretraining_corpus(dataset, model: MicroLM, config: dict) -> list[list[int]]:
+    """Packed passage-then-question sequences over the model's whole position
+    range; each text holds the separator, so none encodes to no token."""
+    units = [model.vocab.encode(t) for t in pretraining_texts(dataset)]
     if not units:
         raise DataError("dataset has no relevant question-passage pairs to pretrain on")
-    target = min(config["model"]["pretrain_pack_len"], config["model"]["max_seq_len"])
+    target = min(config["model"]["pretrain_pack_len"], model.config.max_seq_len)
     return pack_sequences(units, target_len=target, seed=config["seed"],
                           n_sequences=max(400, len(units)))
 
 
+def _in_path(config: dict, key: str, override: str | None) -> Path:
+    """`override`, else paths.<key> under paths.output_dir; creates nothing."""
+    return Path(override or Path(config["paths"]["output_dir"]) / config["paths"][key])
+
+
 def _out_path(config: dict, key: str, override: str | None) -> Path:
-    if override:
-        return Path(override)
-    out_dir = Path(config["paths"]["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / config["paths"][key]
+    """_in_path of a file about to be written, creating paths.output_dir
+    if the file goes there."""
+    if not override:
+        Path(config["paths"]["output_dir"]).mkdir(parents=True, exist_ok=True)
+    return _in_path(config, key, override)
 
 
 def _pretrain_options(config: dict, steps: int) -> dict:
@@ -186,13 +191,12 @@ def cmd_init_model(config: dict, args) -> int:
     dataset = _require_dataset(config, args)
     vocab = Vocabulary.from_texts(dataset.texts(), cap=m["vocab_cap"])
     model_config = ModelConfig(vocab_size=len(vocab), **{name: m[name] for name in _ARCHITECTURE})
-    if m["pretrain_steps"] > 0:
-        corpus = _pretraining_corpus(dataset, vocab, config)
-        model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"], **options)
-    else:
-        model = MicroLM.init(model_config, vocab, seed=config["seed"])
-    # the adapter that `train` builds; one that cannot fit fails before the model is saved
+    model = MicroLM.init(model_config, vocab, seed=config["seed"])
+    # the adapter that `train` builds; one that cannot fit fails before pretraining
     theta = sum(t.size for t in init_pspt_params(model, **config["adapter"]).tensors().values())
+    if m["pretrain_steps"] > 0:  # pretrain_micro_lm starts from this same init
+        corpus = _pretraining_corpus(dataset, model, config)
+        model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"], **options)
     out = _out_path(config, "model_checkpoint", args.out)
     save_model(model, out, meta={"seed": config["seed"], "pretrain_steps": m["pretrain_steps"]})
     frozen = model.param_count()
@@ -207,8 +211,8 @@ def cmd_pretrain(config: dict, args) -> int:
     options = _pretrain_options(config, config["model"]["pretrain_steps"]
                                 if args.steps is None else args.steps)
     dataset = _require_dataset(config, args)
-    model = load_model(args.checkpoint or _out_path(config, "model_checkpoint", None))
-    corpus = _pretraining_corpus(dataset, model.vocab, config)
+    model = load_model(_in_path(config, "model_checkpoint", args.checkpoint))
+    corpus = _pretraining_corpus(dataset, model, config)
     continue_pretraining(model, corpus, seed=config["seed"], **options)
     out = _out_path(config, "model_checkpoint", args.out)
     save_model(model, out, meta={"seed": config["seed"], "continued_steps": options["steps"]})
@@ -220,7 +224,7 @@ def cmd_train(config: dict, args) -> int:
     train_config = TrainConfig(**config["train"], seed=config["seed"])
     train_config.validate()  # before any file is read
     dataset = _require_dataset(config, args)
-    model = load_model(_out_path(config, "model_checkpoint", args.checkpoint))
+    model = load_model(_in_path(config, "model_checkpoint", args.checkpoint))
     params = init_pspt_params(model, **config["adapter"], seed=config["seed"])
     instances = build_instances(dataset, seed=config["seed"],
                                 sample_size=train_config.train_sample_size, vocab=model.vocab)
@@ -239,7 +243,7 @@ def cmd_train(config: dict, args) -> int:
 def _build_scorer(config: dict, args, model):
     prompt = config["scoring"]["upr_prompt"]
     if args.scorer == "pspt":
-        params = load_params(_out_path(config, "params_checkpoint", args.params))
+        params = load_params(_in_path(config, "params_checkpoint", args.params))
         check_params_fit(params, model)
         return make_pspt_scorer(model, params)
     if args.scorer == "upr_inst":
@@ -255,7 +259,7 @@ def _build_scorer(config: dict, args, model):
 
 def cmd_rerank(config: dict, args) -> int:
     dataset = _require_dataset(config, args)
-    model = load_model(_out_path(config, "model_checkpoint", args.checkpoint))
+    model = load_model(_in_path(config, "model_checkpoint", args.checkpoint))
     scorer = _build_scorer(config, args, model)
     run_in = read_run_file(args.run_in)
     queries: dict[str, list[RunEntry]] = {}

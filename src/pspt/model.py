@@ -60,13 +60,17 @@ class Vocabulary:
 
     @classmethod
     def from_texts(cls, texts, cap: int = 2048) -> "Vocabulary":
-        """Frequency-ranked vocabulary; ties broken lexicographically."""
+        """Frequency-ranked vocabulary of `cap` tokens at most, the reserved
+        ones included; ties broken lexicographically."""
+        if cap <= len(RESERVED_TOKENS):
+            raise ConfigError(f"vocabulary cap {cap} leaves no room beside the "
+                              f"{len(RESERVED_TOKENS)} reserved tokens")
         counts: dict[str, int] = {}
         for text in texts:
             for tok in tokenize_text(text):
                 counts[tok] = counts.get(tok, 0) + 1
         ranked = sorted(counts, key=lambda t: (-counts[t], t))
-        return cls(ranked[: max(0, cap - len(RESERVED_TOKENS))])
+        return cls(ranked[: cap - len(RESERVED_TOKENS)])
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,6 @@ def _checked_rows(rows, n_rows: int) -> np.ndarray:
 def _mean_sequence_nll(model: MicroLM, seqs: list[list[int]]) -> Tensor:
     """Mean over sequences of each one's mean teacher-forced next-token
     negative log-likelihood, with every sequence in one packed forward."""
-    seqs = [s[: model.config.max_seq_len] for s in seqs]
     inputs = [tok for s in seqs for tok in [BOS_ID] + s[:-1]]
     targets = [tok for s in seqs for tok in s]
     weights = np.concatenate([np.full(len(s), -1.0 / (len(s) * len(seqs))) for s in seqs])
@@ -317,7 +320,9 @@ def holdout_split(corpus: list[list[int]], seed: int):
 
 def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, steps: int,
                          batch_size: int = 8, lr: float = 1e-3) -> None:
-    """Run further LM training steps in place; the model is frozen between steps."""
+    """Run further LM training steps in place; the model is frozen between steps.
+    The options and the corpus are checked at 0 steps too; a step that draws
+    a sequence longer than max_seq_len raises SequenceLengthError."""
     if not (steps >= 0 and batch_size >= 1 and lr > 0):  # so NaN fails too
         raise ConfigError(f"pretraining needs steps >= 0, batch_size >= 1 and lr > 0, "
                           f"got {steps}, {batch_size} and {lr}")
@@ -339,12 +344,6 @@ def pretrain_micro_lm(corpus: list[list[int]], config: ModelConfig, vocab: Vocab
                       seed: int, steps: int, **options) -> MicroLM:
     """Initialize a model and fit it on the corpus train split, frozen on return.
     `options` are continue_pretraining's `batch_size` and `lr`."""
-    if not steps >= 0:
-        raise ConfigError(f"pretraining needs steps >= 0, got {steps}")
-    if not [s for s in corpus if s]:
-        raise DataError("pretraining corpus is empty")
     model = MicroLM.init(config, vocab, seed)
-    if steps > 0:
-        train, _ = holdout_split(corpus, seed)
-        continue_pretraining(model, train, seed, steps, **options)
+    continue_pretraining(model, holdout_split(corpus, seed)[0], seed, steps, **options)
     return model

@@ -125,19 +125,19 @@ def pretraining_texts(dataset: QaDataset) -> list[str]:
 
 
 def pack_sequences(units: list[list[int]], target_len: int, seed: int,
-                   n_sequences: int | None = None) -> list[list[int]]:
-    """Concatenate shuffled units into sequences of about target_len tokens.
+                   n_sequences: int) -> list[list[int]]:
+    """Concatenate shuffled units into n_sequences sequences of target_len tokens.
 
     Without packing the model would only ever train the first ~20 positions,
     and scoring with a long soft prompt would run on untrained position
     embeddings.
     """
-    if not target_len >= 1:
-        raise ConfigError(f"target_len must be at least 1, got {target_len}")
+    for name, value in (("target_len", target_len), ("n_sequences", n_sequences)):
+        if not value >= 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
     if not any(map(len, units)):
         raise DataError("no unit to pack holds a token")
     rng = T.make_rng(seed, 41)
-    n_sequences = n_sequences if n_sequences is not None else max(1, len(units))
     packed = []
     order: list[int] = []
     cursor = 0

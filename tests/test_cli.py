@@ -20,7 +20,7 @@ from pspt.cli import DEFAULTS, load_config, main
 from pspt.errors import ConfigError
 from pspt.evaluation import (QaDataset, Question, bm25_run, read_run_file, save_dataset,
                              write_run_file)
-from pspt.model import ModelConfig, Vocabulary
+from pspt.model import ModelConfig, Vocabulary, continue_pretraining
 from pspt.synth import SynthConfig, build_synthetic_dataset
 
 
@@ -288,6 +288,34 @@ class TestInitModel:
         assert "exceeds embedding width" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_adapter_that_cannot_fit_is_rejected_before_pretraining(self, workspace, tmp_path,
+                                                                    capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("pspt.model.continue_pretraining",
+                            lambda *args, **kwargs: calls.append(args))
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["pretrain_steps"] = 30
+        config["adapter"]["rank"] = 999
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 1
+        assert "adapter rank 999 exceeds embedding width 16" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", [0, -5, 4])
+    def test_vocab_cap_that_leaves_no_real_token_is_exit_1(self, workspace, tmp_path, capsys,
+                                                           cap):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["vocab_cap"] = cap
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 1
+        assert f"vocabulary cap {cap} leaves no room" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_soft_prompt_that_cannot_fit_is_config_error_before_saving(self, workspace,
                                                                        tmp_path, capsys):
         config = json.loads(Path(workspace["config"]).read_text())
@@ -313,6 +341,49 @@ def trained(workspace):
     assert main(["--config", workspace["config"], "train", "--checkpoint", str(model_path),
                  "--out", str(theta_path), "--log", str(log_path)]) == 0
     return {"model": model_path, "theta": theta_path, "log": log_path}
+
+
+class TestPretrain:
+    def test_packs_to_the_checkpoints_max_seq_len(self, workspace, tmp_path, monkeypatch):
+        """A checkpoint of max_seq_len 64 gets sequences of 64 tokens at most,
+        though the config's max_seq_len is the default 256."""
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["max_seq_len"] = 64
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        model_path = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(model_path)]) == 0
+        del config["model"]["max_seq_len"]
+        path.write_text(json.dumps(config))
+        lengths = []
+
+        def spy(model, corpus, *args, **kwargs):
+            lengths.extend(map(len, corpus))
+            return continue_pretraining(model, corpus, *args, **kwargs)
+
+        monkeypatch.setattr("pspt.cli.continue_pretraining", spy)
+        assert main(["--config", str(path), "pretrain", "--checkpoint", str(model_path),
+                     "--steps", "1", "--out", str(tmp_path / "m2.ckpt")]) == 0
+        assert lengths and max(lengths) == 64
+
+
+class TestReadPaths:
+    @pytest.mark.parametrize("args", [
+        ["pretrain", "--steps", "1"],
+        ["train"],
+        ["rerank", "--scorer", "upr"],
+        ["rerank", "--scorer", "pspt", "--checkpoint", "MODEL"],
+    ], ids=["pretrain", "train", "rerank-upr", "rerank-pspt-params"])
+    def test_missing_input_creates_no_output_dir(self, workspace, trained, tmp_path, args):
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["paths"]["output_dir"] = str(tmp_path / "o3")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        if args[0] == "rerank":
+            args = args + ["--run-in", workspace["run"], "--run-out", str(tmp_path / "x.run")]
+        args = [str(trained["model"]) if a == "MODEL" else a for a in args]
+        assert main(["--config", str(path), *args]) == 2
+        assert not (tmp_path / "o3").exists()
 
 
 class TestUsageErrors:

@@ -3,8 +3,10 @@
 Each case replaces one field of a valid config, dataset record or JSON
 run record with a drawn JSON value, or flips one byte of an adapter
 checkpoint or cuts it short, and runs the command that reads it. `pspt.cli.main` must
-return 0, 1, 2 or 3 and never raise. A checkpoint with any byte flipped,
-or cut short anywhere, fails its checksum or an earlier check: exit 2.
+return 0, 1, 2 or 3 and never raise; where it returns 0, each file the
+command wrote reads back with that file's own consumer. A checkpoint with
+any byte flipped, or cut short anywhere, fails its checksum or an earlier
+check: exit 2.
 """
 
 import json
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pspt.cli import DEFAULTS, main
-from pspt.evaluation import bm25_run, save_dataset, write_run_file
+from pspt.adapter import check_params_fit, load_params
+from pspt.checkpoint import load_model
+from pspt.cli import DEFAULTS, load_config, main
+from pspt.evaluation import bm25_run, read_run_file, save_dataset, write_run_file
 from pspt.synth import SynthConfig, build_synthetic_dataset
 
 EXIT_CODES = (0, 1, 2, 3)
@@ -76,7 +80,28 @@ def workspace(tmp_path_factory):
 def run_cli(*args) -> int:
     code = main(["--config", "config.json", *args])
     assert code in EXIT_CODES
+    if code == 0:
+        read_back(args)
     return code
+
+
+def read_back(args) -> None:
+    """Read each file the command `args` wrote, with that file's consumer."""
+    config = load_config("config.json")
+    out = Path(config["paths"]["output_dir"])
+    model_path = out / config["paths"]["model_checkpoint"]
+    if args[0] == "init-model":
+        load_model(model_path)
+    elif args[0] == "train":
+        check_params_fit(load_params(out / config["paths"]["params_checkpoint"]),
+                         load_model(model_path))
+        for line in (out / config["paths"]["train_log"]).read_text().splitlines():
+            json.loads(line)
+    elif args[0] == "rerank":
+        read_run_file(args[args.index("--run-out") + 1])
+    elif args[0] == "eval":
+        with open(out / "report.json", encoding="utf-8") as f:
+            json.load(f)
 
 
 @fuzz

@@ -1,6 +1,7 @@
 """Tokenizer, micro LM forward pass, pretraining, and checkpoint round trips."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -524,10 +525,24 @@ class TestPretraining:
                                  **{"steps": 2, **options})
         assert model.checksum() == checksum
 
-    def test_negative_steps_rejected_before_init(self, tiny_model):
-        with pytest.raises(ConfigError, match="pretraining needs steps >= 0, got -1"):
+    @pytest.mark.parametrize("options, got", [
+        ({"steps": -1}, "-1, 8 and 0.001"),
+        ({"steps": 0, "batch_size": 0}, "0, 0 and 0.001"),
+        ({"steps": 0, "lr": float("nan")}, "0, 8 and nan"),
+    ], ids=["steps-negative", "batch-size-0-at-0-steps", "lr-NaN-at-0-steps"])
+    def test_pretrain_bad_option_is_config_error(self, tiny_model, options, got):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pretraining needs steps >= 0, batch_size >= 1 and lr > 0, got {got}")):
             pretrain_micro_lm(toy_corpus(tiny_model.vocab), tiny_model.config,
-                              tiny_model.vocab, seed=0, steps=-1)
+                              tiny_model.vocab, seed=0, **options)
+
+    def test_sequence_longer_than_max_seq_len_is_rejected_not_cut(self, tiny_model):
+        model = MicroLM.init(tiny_model.config, tiny_model.vocab, seed=0)
+        checksum = model.checksum()
+        too_long = list(range(4, 4 + tiny_model.config.max_seq_len + 1))
+        with pytest.raises(SequenceLengthError, match="exceeds max_seq_len 16"):
+            continue_pretraining(model, [too_long], seed=0, steps=1)
+        assert model.checksum() == checksum
 
 
 class TestAtomicWrites:

@@ -113,16 +113,22 @@ class TestPacking:
     def test_packing_deterministic(self, dataset):
         vocab = Vocabulary.from_texts(dataset.texts())
         units = [vocab.encode(t) for t in pretraining_texts(dataset)]
-        assert pack_sequences(units, 50, seed=2) == pack_sequences(units, 50, seed=2)
+        n = max(1, len(units))
+        assert pack_sequences(units, 50, seed=2, n_sequences=n) == pack_sequences(
+            units, 50, seed=2, n_sequences=n)
 
     @pytest.mark.parametrize("units", [[], [[]], [[], []]])
     def test_no_token_to_pack_is_data_error(self, units):
         with pytest.raises(DataError, match="no unit to pack holds a token"):
-            pack_sequences(units, 5, seed=0)
+            pack_sequences(units, 5, seed=0, n_sequences=max(1, len(units)))
 
     def test_target_len_below_1_is_config_error(self):
         with pytest.raises(ConfigError, match="target_len must be at least 1, got 0"):
-            pack_sequences([[4, 5]], target_len=0, seed=0)
+            pack_sequences([[4, 5]], target_len=0, seed=0, n_sequences=1)
+
+    def test_n_sequences_below_1_is_config_error(self):
+        with pytest.raises(ConfigError, match="n_sequences must be at least 1, got 0"):
+            pack_sequences([[4, 5]], target_len=5, seed=0, n_sequences=0)
 
     def test_pretraining_texts_cover_positives(self, dataset):
         texts = pretraining_texts(dataset)
