@@ -43,12 +43,15 @@ class SoftPrompt:
 class LowRankAdapter:
     A: Tensor
     B: Tensor
-    rank: int
     alpha: float
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"adapter alpha must be positive and finite, got {self.alpha}")
+
+    @property
+    def rank(self) -> int:
+        return self.A.shape[1]
 
     @property
     def scaling(self) -> float:
@@ -70,7 +73,7 @@ class PsptParams:
     def astype(self, dtype) -> "PsptParams":
         sp = SoftPrompt(self.soft_prompt.e1.astype(dtype), self.soft_prompt.init_text)
         ad = LowRankAdapter(self.adapter.A.astype(dtype), self.adapter.B.astype(dtype),
-                            self.adapter.rank, self.adapter.alpha)
+                            self.adapter.alpha)
         return PsptParams(sp, ad)
 
 
@@ -98,7 +101,7 @@ def init_adapter(vocab_size: int, rank: int, dim: int, alpha: float, seed: int) 
     rng = T.make_rng(seed, 3)
     a = rng.normal(0.0, 0.02, size=(vocab_size, rank)).astype(np.float32)
     b = np.zeros((rank, dim), dtype=np.float32)
-    return LowRankAdapter(Tensor(a), Tensor(b), rank, float(alpha))
+    return LowRankAdapter(Tensor(a), Tensor(b), float(alpha))
 
 
 def init_pspt_params(model: MicroLM, hard_prompt: str = DEFAULT_HARD_PROMPT,
@@ -231,15 +234,15 @@ def load_params(path) -> PsptParams:
     for name in ("pspt.e1", "pspt.A", "pspt.B"):
         if name not in ckpt.buffers:
             raise CheckpointError(f"missing adapter buffer {name!r}")
-    try:
-        rank, alpha = int(ckpt.meta["r"]), float(ckpt.meta["alpha"])
-    except (KeyError, TypeError, ValueError):
-        raise CheckpointError("adapter checkpoint meta needs numeric 'r' and 'alpha'") from None
+    a, b, r = ckpt.buffers["pspt.A"], ckpt.buffers["pspt.B"], ckpt.meta.get("r")
+    if not (type(r) is int and r >= 1 and a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0] == r):
+        raise CheckpointError(f"adapter meta 'r' {r!r} is not an integer >= 1 equal to "
+                              f"A's columns and B's rows (A {a.shape}, B {b.shape})")
     soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"]),
                       ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT))
     try:
-        adapter = LowRankAdapter(Tensor(ckpt.buffers["pspt.A"]), Tensor(ckpt.buffers["pspt.B"]),
-                                 rank, alpha)
-    except ConfigError as exc:
-        raise CheckpointError(f"invalid adapter meta: {exc}") from None
+        adapter = LowRankAdapter(Tensor(a), Tensor(b), float(ckpt.meta["alpha"]))
+    except (KeyError, TypeError, ValueError, ConfigError):
+        raise CheckpointError(f"adapter meta 'alpha' {ckpt.meta.get('alpha')!r} is not a "
+                              "positive, finite number") from None
     return PsptParams(soft, adapter)

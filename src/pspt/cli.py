@@ -26,7 +26,7 @@ from .evaluation import (
     read_run_file,
     write_run_file,
 )
-from .model import MicroLM, ModelConfig, Vocabulary, continue_pretraining, pretrain_micro_lm
+from .model import MicroLM, ModelConfig, Vocabulary, continue_pretraining, holdout_split
 from .scoring import (
     DEFAULT_UPR_PROMPT,
     Candidate,
@@ -194,9 +194,9 @@ def cmd_init_model(config: dict, args) -> int:
     model = MicroLM.init(model_config, vocab, seed=config["seed"])
     # the adapter that `train` builds; one that cannot fit fails before pretraining
     theta = sum(t.size for t in init_pspt_params(model, **config["adapter"]).tensors().values())
-    if m["pretrain_steps"] > 0:  # pretrain_micro_lm starts from this same init
-        corpus = _pretraining_corpus(dataset, model, config)
-        model = pretrain_micro_lm(corpus, model_config, vocab, seed=config["seed"], **options)
+    if m["pretrain_steps"] > 0:  # on the 90% train split; 0 steps needs no corpus
+        train_split = holdout_split(_pretraining_corpus(dataset, model, config), config["seed"])[0]
+        continue_pretraining(model, train_split, config["seed"], **options)
     out = _out_path(config, "model_checkpoint", args.out)
     save_model(model, out, meta={"seed": config["seed"], "pretrain_steps": m["pretrain_steps"]})
     frozen = model.param_count()
@@ -221,8 +221,7 @@ def cmd_pretrain(config: dict, args) -> int:
 
 
 def cmd_train(config: dict, args) -> int:
-    train_config = TrainConfig(**config["train"], seed=config["seed"])
-    train_config.validate()  # before any file is read
+    train_config = TrainConfig(**config["train"], seed=config["seed"])  # checked before any read
     dataset = _require_dataset(config, args)
     model = load_model(_in_path(config, "model_checkpoint", args.checkpoint))
     params = init_pspt_params(model, **config["adapter"], seed=config["seed"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -178,6 +179,17 @@ class RetrievalRun:
         return [e.passage_id for e in self.queries[qid]]
 
 
+_SCORE_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _score(text: str) -> float:
+    """`text` as a float if it is an ASCII decimal or exponent literal; float()
+    alone also reads "_", digits of other scripts, "inf" and "nan"."""
+    if not _SCORE_RE.fullmatch(text):
+        raise ValueError(f"score {text!r} is not an ASCII decimal or exponent literal")
+    return float(text)
+
+
 def read_run_file(path) -> RetrievalRun:
     """Parse a TREC-style or JSON-lines run file; the first line's tag names the run."""
     grouped: dict[str, list[RunEntry]] = {}
@@ -193,10 +205,9 @@ def read_run_file(path) -> RetrievalRun:
                     qid, rank = _checked_id(line_no, "query_id", rec["query_id"]), rec["rank"]
                     if not isinstance(rank, int) or isinstance(rank, bool):
                         raise ValueError(f"rank {rank!r} is not an integer")
-                    if isinstance(rec["score"], bool):
-                        raise ValueError(f"score {rec['score']!r} is not a number")
+                    # a JSON number's str() is such a literal; a bool's, null's or list's is not
                     entry = RunEntry(_checked_id(line_no, "passage_id", rec["passage_id"]), rank,
-                                     float(rec["score"]))
+                                     _score(str(rec["score"])))
                     line_tag = rec.get("tag", "run")
                     if not isinstance(line_tag, str) or line_tag.split() != [line_tag]:
                         raise ValueError(f"tag {line_tag!r} is not a string without whitespace")
@@ -208,7 +219,9 @@ def read_run_file(path) -> RetrievalRun:
                     raise ParseError(line_no, f"expected 6 whitespace-separated columns, got {len(parts)}")
                 qid = parts[0]
                 try:
-                    entry = RunEntry(parts[2], int(parts[3]), float(parts[4]))
+                    if not (parts[3].isascii() and parts[3].isdigit()):
+                        raise ValueError(f"rank {parts[3]!r} is not ASCII digits")
+                    entry = RunEntry(parts[2], int(parts[3]), _score(parts[4]))
                 except ValueError as exc:
                     raise ParseError(line_no, f"bad rank/score: {exc}") from exc
                 line_tag = parts[5]

@@ -338,12 +338,3 @@ def continue_pretraining(model: MicroLM, corpus: list[list[int]], seed: int, ste
             T.backward(_mean_sequence_nll(model, [seqs[int(i)] for i in idx]))
             clip_global_norm(tensors, 1.0)
             opt.step()
-
-
-def pretrain_micro_lm(corpus: list[list[int]], config: ModelConfig, vocab: Vocabulary,
-                      seed: int, steps: int, **options) -> MicroLM:
-    """Initialize a model and fit it on the corpus train split, frozen on return.
-    `options` are continue_pretraining's `batch_size` and `lr`."""
-    model = MicroLM.init(config, vocab, seed)
-    continue_pretraining(model, holdout_split(corpus, seed)[0], seed, steps, **options)
-    return model

@@ -36,7 +36,7 @@ class SynthConfig:
     filler_tokens_max: int = 8
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.n_topics < 1 or self.n_bridge_words < 1:
@@ -54,7 +54,6 @@ class SynthConfig:
 
 
 def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
-    config.validate()
     rng = T.make_rng(config.seed, 40)
     topics = [
         (

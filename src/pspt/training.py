@@ -52,7 +52,7 @@ class TrainingInstance:
                 f"instance {self.question_id}: positive and negative share id {self.positive_id!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 4
     in_batch_negatives: int = 4
@@ -67,19 +67,11 @@ class TrainConfig:
     point_weight: float = 1.0
     pair_weight: float = 1.0
 
-    def validate(self) -> None:
-        positive = {
-            "batch_size": self.batch_size,
-            "in_batch_negatives": self.in_batch_negatives,
-            "lr_soft_prompt": self.lr_soft_prompt,
-            "lr_adapter": self.lr_adapter,
-            "early_stop_patience": self.early_stop_patience,
-            "train_sample_size": self.train_sample_size,
-            "grad_clip": self.grad_clip,
-        }
-        for name, value in positive.items():
-            if not value > 0:  # so NaN fails too
-                raise ConfigError(f"{name} must be positive, got {value}")
+    def __post_init__(self):
+        for name in ("batch_size", "in_batch_negatives", "lr_soft_prompt", "lr_adapter",
+                     "early_stop_patience", "train_sample_size", "grad_clip"):
+            if not getattr(self, name) > 0:  # so NaN fails too
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
         if self.in_batch_negatives > self.batch_size:
@@ -243,7 +235,6 @@ def train(config: TrainConfig, instances: list[TrainingInstance], model: MicroLM
     Returns the parameter snapshot of the first epoch with the least dev
     loss or, without a dev split, the last epoch's parameters.
     """
-    config.validate()
     if config.epochs == 0:
         return TrainResult(params=params)
     if not instances:

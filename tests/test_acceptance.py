@@ -29,7 +29,7 @@ from pspt.evaluation import (
     save_dataset,
     write_run_file,
 )
-from pspt.model import MicroLM, ModelConfig, Vocabulary, pretrain_micro_lm
+from pspt.model import MicroLM, ModelConfig, Vocabulary, continue_pretraining, holdout_split
 from pspt.optim import trainable
 from pspt.scoring import (
     Candidate,
@@ -158,7 +158,8 @@ def test_criterion_4_synthetic_end_to_end():
 
     units = [vocab.encode(t) for t in pretraining_texts(train_ds)]
     corpus = pack_sequences(units, target_len=90, seed=seed, n_sequences=400)
-    model = pretrain_micro_lm(corpus, config, vocab, seed=seed, steps=1000)
+    model = MicroLM.init(config, vocab, seed)
+    continue_pretraining(model, holdout_split(corpus, seed)[0], seed, steps=1000)
 
     params = init_pspt_params(model, soft_prompt_len=50, rank=1, alpha=16.0, seed=seed)
     instances = build_instances(train_ds, seed=seed, sample_size=320, vocab=vocab)

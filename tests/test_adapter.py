@@ -16,7 +16,8 @@ from pspt.adapter import (
     passage_embedding,
     save_params,
 )
-from pspt.errors import ConfigError, ContractError, SequenceLengthError
+from pspt.checkpoint import load_checkpoint_file, save_checkpoint_file
+from pspt.errors import CheckpointError, ConfigError, ContractError, SequenceLengthError
 from pspt.model import MicroLM, ModelConfig, Vocabulary
 from pspt.optim import trainable
 
@@ -245,6 +246,16 @@ class TestParamsPersistence:
             assert not loaded.tensors()[name].requires_grad
         assert loaded.adapter.alpha == params.adapter.alpha
         assert loaded.soft_prompt.init_text == params.soft_prompt.init_text
+
+    @pytest.mark.parametrize("r", [2, 0.5, True], ids=["2", "0.5", "true"])
+    def test_meta_rank_other_than_the_width_of_A_rejected(self, params, tmp_path, r):
+        # 2 would load with the adapter scaled by alpha/2, 0.5 as rank 0
+        path = tmp_path / "theta.ckpt"
+        save_params(params, path)
+        ckpt = load_checkpoint_file(path)
+        save_checkpoint_file(path, ckpt.buffers, meta={**ckpt.meta, "r": r})
+        with pytest.raises(CheckpointError, match="adapter meta 'r'"):
+            load_params(path)
 
     def test_copy_is_independent(self, params):
         dup = params.astype(params.soft_prompt.e1.dtype)

@@ -15,12 +15,12 @@ import pytest
 
 import pspt
 from pspt.adapter import load_params
-from pspt.checkpoint import load_checkpoint_file, load_model, save_checkpoint_file
-from pspt.cli import DEFAULTS, load_config, main
+from pspt.checkpoint import load_checkpoint_file, load_model, save_checkpoint_file, save_model
+from pspt.cli import DEFAULTS, _pretraining_corpus, load_config, main
 from pspt.errors import ConfigError
 from pspt.evaluation import (QaDataset, Question, bm25_run, read_run_file, save_dataset,
                              write_run_file)
-from pspt.model import ModelConfig, Vocabulary, continue_pretraining
+from pspt.model import MicroLM, ModelConfig, Vocabulary, continue_pretraining, holdout_split
 from pspt.synth import SynthConfig, build_synthetic_dataset
 
 
@@ -272,6 +272,26 @@ class TestInitModel:
         assert main(["--config", workspace["config"], "init-model", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pretrains_the_model_it_built(self, workspace, tmp_path, monkeypatch):
+        """One MicroLM.init, then continue_pretraining on the 90% train split."""
+        config = json.loads(Path(workspace["config"]).read_text())
+        config["model"]["pretrain_steps"] = 20
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        init, inits = MicroLM.init, []
+        monkeypatch.setattr(MicroLM, "init",
+                            lambda *args, **kwargs: inits.append(args) or init(*args, **kwargs))
+        out = tmp_path / "m.ckpt"
+        assert main(["--config", str(path), "init-model", "--out", str(out)]) == 0
+        assert len(inits) == 1
+        written = load_model(out)
+        model = init(written.config, written.vocab, 11)
+        corpus = _pretraining_corpus(workspace["dataset"], model, load_config(str(path)))
+        continue_pretraining(model, holdout_split(corpus, 11)[0], 11, steps=20)
+        expected = tmp_path / "expected.ckpt"
+        save_model(model, expected, meta={"seed": 11, "pretrain_steps": 20})
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"paths": {"output_dir": str(tmp_path)}}))
@@ -291,7 +311,7 @@ class TestInitModel:
     def test_adapter_that_cannot_fit_is_rejected_before_pretraining(self, workspace, tmp_path,
                                                                     capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr("pspt.model.continue_pretraining",
+        monkeypatch.setattr("pspt.cli.continue_pretraining",
                             lambda *args, **kwargs: calls.append(args))
         config = json.loads(Path(workspace["config"]).read_text())
         config["model"]["pretrain_steps"] = 30

@@ -440,6 +440,43 @@ class TestRunFiles:
         run = read_run_file(path)
         assert run.tag == "run" and run.queries["1"] == [RunEntry("2", 1, 0.5)]
 
+    @pytest.mark.parametrize("rank, score", [
+        ("\u0661", "2.5"), ("0_2", "1.5"), ("+1", "1.5"), ("1", "1_5"), ("1", "\u0662.5"),
+        ("1", "\uff11.5"),
+    ], ids=["arabic-indic-rank", "underscore-rank", "signed-rank", "underscore-score",
+            "arabic-indic-score", "fullwidth-score"])
+    def test_trec_rank_or_score_not_an_ascii_numeral_rejected(self, tmp_path, rank, score):
+        path = tmp_path / "run.txt"
+        write_lines(path, [f"q1 Q0 d1 {rank} {score} run"])
+        with pytest.raises(ParseError, match="line 1: bad rank/score"):
+            read_run_file(path)
+
+    @pytest.mark.parametrize("score", ['"1_5"', '"\u0661"', '"\u0661.5"', '" 0.5"',
+                                       "1" + "0" * 400],
+                             ids=["underscore", "arabic-indic", "arabic-indic-decimal",
+                                  "leading-space", "int-beyond-float"])
+    def test_jsonl_score_not_an_ascii_numeral_or_float_rejected(self, tmp_path, score):
+        path = tmp_path / "run.jsonl"
+        write_lines(path, ['{"query_id": "q1", "passage_id": "a", "rank": 1, "score": '
+                           + score + "}"])
+        with pytest.raises(ParseError, match="line 1: "):
+            read_run_file(path)
+
+    def test_ascii_decimal_and_exponent_scores_read(self, tmp_path):
+        path = tmp_path / "run.txt"
+        scores = ["-1.5e-3", "+2", "3.", ".25", "1E2", "007"]
+        write_lines(path, [f"q1 Q0 d{i} {i + 1} {s} t" for i, s in enumerate(scores)])
+        assert [e.score for e in read_run_file(path).queries["q1"]] == list(map(float, scores))
+
+    def test_bm25_run_reads_back_as_written(self, tmp_path):
+        run = bm25_run(three_query_dataset(), 2)
+        path = tmp_path / "bm25.run"
+        write_run_file(run, path)
+        again = read_run_file(path)
+        assert again.tag == run.tag
+        assert again.queries == {qid: [e._replace(score=float(f"{e.score:.6f}")) for e in entries]
+                                 for qid, entries in run.queries.items()}
+
     def test_non_contiguous_ranks_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
         write_lines(path, ["q1 Q0 a 1 0.5 t", "q1 Q0 b 3 0.4 t"])

@@ -37,7 +37,6 @@ from pspt.model import (
     continue_pretraining,
     holdout_split,
     param_shapes,
-    pretrain_micro_lm,
     tokenize_text,
 )
 from pspt.optim import trainable
@@ -484,35 +483,43 @@ def toy_corpus(vocab, n_sentences=50):
     return seqs
 
 
+def pretrain(corpus, config, vocab, seed, steps, **options):
+    """A model as `pspt init-model` pretrains it: MicroLM.init, then
+    continue_pretraining on the 90% train split of the corpus."""
+    model = MicroLM.init(config, vocab, seed)
+    continue_pretraining(model, holdout_split(corpus, seed)[0], seed, steps, **options)
+    return model
+
+
 class TestPretraining:
     def test_zero_steps_leaves_init_untouched(self, tiny_model):
         corpus = toy_corpus(tiny_model.vocab)
-        fresh = pretrain_micro_lm(corpus, tiny_model.config, tiny_model.vocab, seed=5, steps=0)
+        fresh = pretrain(corpus, tiny_model.config, tiny_model.vocab, seed=5, steps=0)
         assert fresh.checksum() == MicroLM.init(tiny_model.config, tiny_model.vocab, 5).checksum()
 
     def test_heldout_cross_entropy_decreases(self, tiny_model):
         corpus = toy_corpus(tiny_model.vocab)
         cfg = tiny_model.config
         init = MicroLM.init(cfg, tiny_model.vocab, seed=11)
-        trained = pretrain_micro_lm(corpus, cfg, tiny_model.vocab, seed=11, steps=300, batch_size=4)
+        trained = pretrain(corpus, cfg, tiny_model.vocab, seed=11, steps=300, batch_size=4)
         _, dev = holdout_split(corpus, seed=11)
         assert _mean_sequence_nll(trained, dev).item() < _mean_sequence_nll(init, dev).item()
 
     def test_deterministic_given_seed(self, tiny_model):
         corpus = toy_corpus(tiny_model.vocab)
-        a = pretrain_micro_lm(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=20, batch_size=2)
-        b = pretrain_micro_lm(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=20, batch_size=2)
+        a = pretrain(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=20, batch_size=2)
+        b = pretrain(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=20, batch_size=2)
         assert a.checksum() == b.checksum()
 
     def test_model_frozen_after_pretraining(self, tiny_model):
         corpus = toy_corpus(tiny_model.vocab)
-        trained = pretrain_micro_lm(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=5, batch_size=2)
+        trained = pretrain(corpus, tiny_model.config, tiny_model.vocab, seed=3, steps=5, batch_size=2)
         assert all(not p.requires_grad for p in trained.params.values())
         assert all(p.grad is None for p in trained.params.values())
 
     def test_empty_corpus_rejected(self, tiny_model):
         with pytest.raises(DataError):
-            pretrain_micro_lm([], tiny_model.config, tiny_model.vocab, seed=0, steps=1)
+            pretrain([], tiny_model.config, tiny_model.vocab, seed=0, steps=1)
 
     @pytest.mark.parametrize("options", [{"batch_size": 0}, {"lr": float("nan")}, {"lr": 0.0},
                                          {"steps": -1}],
@@ -533,8 +540,8 @@ class TestPretraining:
     def test_pretrain_bad_option_is_config_error(self, tiny_model, options, got):
         with pytest.raises(ConfigError, match=re.escape(
                 f"pretraining needs steps >= 0, batch_size >= 1 and lr > 0, got {got}")):
-            pretrain_micro_lm(toy_corpus(tiny_model.vocab), tiny_model.config,
-                              tiny_model.vocab, seed=0, **options)
+            pretrain(toy_corpus(tiny_model.vocab), tiny_model.config,
+                     tiny_model.vocab, seed=0, **options)
 
     def test_sequence_longer_than_max_seq_len_is_rejected_not_cut(self, tiny_model):
         model = MicroLM.init(tiny_model.config, tiny_model.vocab, seed=0)

@@ -1,4 +1,5 @@
-"""Every module-level function and class of `src/pspt` has a caller.
+"""Every module-level function and class of `src/pspt`, and every public
+method and property of its classes, has a caller.
 
 A name counts as used when some module of `src/pspt` or `perfbench/` names
 it outside its own definition: as a variable, an attribute, an imported
@@ -39,9 +40,17 @@ DEFINITIONS = [
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 ]
 
+# methods and properties not starting with "_", so no dunder or private helper
+METHODS = [
+    (path, cls, node) for path, cls in DEFINITIONS if isinstance(cls, ast.ClassDef)
+    for node in cls.body
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+]
+
 
 def test_package_defines_something():
     assert len(DEFINITIONS) > 50
+    assert len(METHODS) > 20
 
 
 @pytest.mark.parametrize("path, node", DEFINITIONS,
@@ -49,3 +58,10 @@ def test_package_defines_something():
 def test_named_outside_its_definition(path, node):
     assert EVERYWHERE[node.name] > _names(node)[node.name], \
         f"{path.name}: {node.name} is named only in its own definition"
+
+
+@pytest.mark.parametrize("path, cls, node", METHODS,
+                         ids=[f"{p.stem}.{c.name}.{n.name}" for p, c, n in METHODS])
+def test_method_named_outside_its_definition(path, cls, node):
+    assert EVERYWHERE[node.name] > _names(node)[node.name], \
+        f"{path.name}: {cls.name}.{node.name} is named only in its own definition"

@@ -1,5 +1,6 @@
 """Instance building, in-batch expansion, losses, and the training loop."""
 
+import dataclasses
 import json
 import math
 
@@ -508,24 +509,30 @@ class TestTrain:
 
     def test_validation_rejects_bad_config(self):
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
-            TrainConfig(in_batch_negatives=9, batch_size=4).validate()
+            TrainConfig(in_batch_negatives=9, batch_size=4)
+
+    def test_built_config_is_frozen(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.batch_size = 0
+        assert config.batch_size == 4
 
     @pytest.mark.parametrize("point, pair", [(-0.5, 1.0), (1.0, -1.0), (0.0, 0.0)])
     def test_loss_weights_that_train_nothing_or_negatively_rejected(self, point, pair):
         with pytest.raises(ConfigError, match="point_weight and pair_weight"):
-            TrainConfig(point_weight=point, pair_weight=pair).validate()
+            TrainConfig(point_weight=point, pair_weight=pair)
 
     @pytest.mark.parametrize("field", ["lr_soft_prompt", "lr_adapter", "grad_clip",
                                        "point_weight", "pair_weight"])
     def test_nan_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
-            TrainConfig(**{field: math.nan}).validate()
+            TrainConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("point, pair", [(0.0, 1.0), (1.0, 0.0)])
     def test_one_loss_weight_at_zero_accepted(self, point, pair):
-        TrainConfig(point_weight=point, pair_weight=pair).validate()
+        TrainConfig(point_weight=point, pair_weight=pair)
 
     def test_instance_invariants(self):
         with pytest.raises(ContractError):
