@@ -11,7 +11,7 @@ scaled by alpha/rank, so a fresh adapter contributes exactly nothing.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -147,13 +147,12 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
 
     A passage is truncated from the right so that prefix, passage,
     separator and its pair's question fit max_seq_len; questions are never
-    truncated. A kept passage that one pair uses is one [passage;
-    separator; question] segment. A kept passage that several pairs use
-    is one [passage; separator] segment, and each of those pairs' questions
-    is a segment that continues it, so the passage is encoded once.
-    `embed_passages` maps the ids of the distinct kept passages,
-    concatenated, to one row per id, so the tensor work is done once for
-    the whole list; it gets them cut from the checked index array.
+    truncated. Each distinct kept passage is one [passage; separator]
+    segment, placed at its first use, and each pair's question is a
+    segment that continues its passage's, so a passage that several pairs
+    use is encoded once. `embed_passages` maps the ids of the distinct kept
+    passages, concatenated, to one row per id, so the tensor work is done
+    once for the whole list; it gets them cut from the checked index array.
     """
     n_pre = prefix.shape[0]
     sep_ids = model.vocab.encode(SEPARATOR_TEXT)
@@ -170,14 +169,14 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
         kept.append((tuple(d)[:budget], q))
     # check every kept id before equal passages merge: (True, 5) == (1, 5) would hide a bool
     ids = model.check_ids([t for d, _ in kept for t in d])
-    uses = Counter(d for d, _ in kept)  # the distinct kept passages, in order of first use
-    first = dict(zip(uses, accumulate(map(len, uses), initial=n_pre)))  # first rows in the table
+    distinct = list(dict.fromkeys(d for d, _ in kept))  # in order of first use
+    first = dict(zip(distinct, accumulate(map(len, distinct), initial=n_pre)))  # rows in the table
     # each distinct passage's slice of `ids` (equal passages have equal checked ids)
     at = dict(zip((d for d, _ in kept), accumulate((len(d) for d, _ in kept), initial=0)))
-    rows = embed_passages(np.concatenate([ids[:0], *(ids[at[d]:at[d] + len(d)] for d in uses)]))
+    rows = embed_passages(np.concatenate([ids[:0], *(ids[at[d]:at[d] + len(d)] for d in distinct)]))
     index, lengths, parents = list(range(n_pre)), [n_pre], [-1]
     tail_ids, targets = [], []
-    shared = {}  # a shared passage's segment and the row of its last separator token
+    segments = {}  # each passage's segment and the row of its last separator token
 
     def segment(passage_rows, tail, parent):
         at = n_pre + rows.shape[0] + len(tail_ids)
@@ -187,16 +186,11 @@ def assemble_segments(model: MicroLM, pairs, embed_passages, prefix: Tensor) -> 
         parents.append(parent)
 
     for d, q in kept:
-        own = range(first[d], first[d] + len(d))
-        if uses[d] == 1:
-            segment(own, sep_ids + q, 0)
-            last = len(index) - len(q) - 1
-        else:
-            if d not in shared:
-                segment(own, sep_ids, 0)
-                shared[d] = (len(lengths) - 1, len(index) - 1)
-            parent, last = shared[d]
-            segment(range(0), q, parent)
+        if d not in segments:
+            segment(range(first[d], first[d] + len(d)), sep_ids, 0)
+            segments[d] = (len(lengths) - 1, len(index) - 1)
+        parent, last = segments[d]
+        segment(range(0), q, parent)
         targets += [last, *range(len(index) - len(q), len(index) - 1)]
     table = T.concat_rows([prefix, rows, model.embed(tail_ids)])  # prefix, passages, tails
     return AssembledInput(T.gather_rows(table, index), targets,
@@ -238,11 +232,10 @@ def load_params(path) -> PsptParams:
     if not (type(r) is int and r >= 1 and a.ndim == b.ndim == 2 and a.shape[1] == b.shape[0] == r):
         raise CheckpointError(f"adapter meta 'r' {r!r} is not an integer >= 1 equal to "
                               f"A's columns and B's rows (A {a.shape}, B {b.shape})")
-    soft = SoftPrompt(Tensor(ckpt.buffers["pspt.e1"]),
-                      ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT))
-    try:
-        adapter = LowRankAdapter(Tensor(a), Tensor(b), float(ckpt.meta["alpha"]))
-    except (KeyError, TypeError, ValueError, ConfigError):
-        raise CheckpointError(f"adapter meta 'alpha' {ckpt.meta.get('alpha')!r} is not a "
-                              "positive, finite number") from None
-    return PsptParams(soft, adapter)
+    hard_prompt, alpha = ckpt.meta.get("hard_prompt", DEFAULT_HARD_PROMPT), ckpt.meta.get("alpha")
+    if type(hard_prompt) is not str:
+        raise CheckpointError(f"adapter meta 'hard_prompt' {hard_prompt!r} is not a string")
+    if not (type(alpha) in (int, float) and 0 < alpha <= sys.float_info.max):  # not a bool
+        raise CheckpointError(f"adapter meta 'alpha' {alpha!r} is not a positive, finite number")
+    return PsptParams(SoftPrompt(Tensor(ckpt.buffers["pspt.e1"]), hard_prompt),
+                      LowRankAdapter(Tensor(a), Tensor(b), float(alpha)))

@@ -12,13 +12,13 @@ one `score_many` call per candidate list.
 Pairs are scored together, one question per passage, in packed forwards
 of at most about MAX_PACKED_ROWS rows, cut here for candidate lists,
 training steps and dev passes alike: the prefix is the root segment of
-each forward, computed once, and each (passage, question) pair is a
-segment that continues it, seeing the prefix but no other pair. A
-passage that several pairs of the forward use is computed once too, as a
-segment that their question segments continue. A candidate list repeats
-one question and no passage; a training step or dev pass packs many
-questions, and a training step repeats each positive as the other
-questions' negative.
+each forward, computed once, and each distinct passage is a [passage;
+separator] segment that continues it, seeing the prefix but no other
+passage. Each pair's question is a segment that continues its passage,
+so a passage that several pairs of the forward use is computed once too.
+A candidate list repeats one question and no passage; a training step or
+dev pass packs many questions, and a training step repeats each positive
+as the other questions' negative.
 
 Only the rows that predict question tokens are read: the model's last
 layer runs past its keys and values for those rows alone, and only they

@@ -334,10 +334,10 @@ def block_attention(q: Tensor, k: Tensor, v: Tensor, sizes: Sequence[int],
     whose columns are the root's rows followed by the group's own rows in
     row order, with an additive mask (0 or -1e9) on the own columns: row r
     sees row c iff c's block is r's block or one of its ancestors and
-    c <= r. Masked weights underflow to exactly 0. Where every group is a
-    single block (a prompt and leaf passages, or independent roots), the
-    columns and the mask are those of the block's chain alone, so the
-    arithmetic, and the result, are the same as attending block by block.
+    c <= r. Masked weights underflow to exactly 0. A chain, a group whose
+    every block after its first continues the block just before it (a
+    root, or a passage and its one question), is masked causally over its
+    rows, so its result is the same as attending them as one block.
 
     q is [..., Q, d] and holds the query side of the key rows `q_rows`,
     sorted and unique (default: all R rows); the result is shaped like q.
@@ -403,21 +403,23 @@ def check_tree(sizes: Sequence[int], parents: Sequence[int], n_rows: int) -> Non
 
 def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.ndarray, dtype):
     """Yield block_attention's groups that hold a queried row, in order of
-    their first block: the group's q rows (a slice for a single block, an
-    index array for several), its key spans (the root's rows, then each of
-    its blocks'), the root's row count, and the additive mask of its
-    queried rows over its own columns. A single block's mask is a slice of
-    one causal triangle shared by the call: read it, never write into it."""
+    their first block: the group's q rows (a slice for a chain, an index
+    array otherwise), its key spans (the root's rows, then the group's),
+    the root's row count, and the additive mask of its queried rows over
+    its own columns. A chain's rows are one span, so its mask is a slice
+    of one causal triangle shared by the call: read it, never write into it."""
     starts = np.cumsum([0, *sizes]).tolist()
     held = np.searchsorted(q_rows, starts).tolist()  # block j's queries: q rows held[j]:held[j + 1]
-    hide, show = dtype(-1e9), dtype(0)
-    wide = np.arange(max(sizes, default=0))
-    triangle = np.where(wide > wide[:, None], hide, show)  # a block's causal mask, sliced below
     members: dict[int, list[int]] = {}  # each group's first block -> its blocks, in order
     head: list[int] = []
     for j, p in enumerate(parents):
         head.append(j if p < 0 or parents[p] < 0 else head[p])
         members.setdefault(head[j], []).append(j)
+    spans = {first: starts[blocks[-1] + 1] - starts[first] for first, blocks in members.items()
+             if all(parents[j] == j - 1 for j in blocks[1:])}  # each chain's row count
+    hide, show = dtype(-1e9), dtype(0)
+    wide = np.arange(max(spans.values(), default=0))
+    triangle = np.where(wide > wide[:, None], hide, show)  # a chain's causal mask, sliced below
     for first, blocks in members.items():
         queried = [j for j in blocks if held[j] < held[j + 1]]
         if not queried:
@@ -425,9 +427,9 @@ def _attention_groups(sizes: Sequence[int], parents: Sequence[int], q_rows: np.n
         root = parents[first]
         keys = [slice(starts[root], starts[root + 1])] if root >= 0 else []
         n_root = sizes[root] if root >= 0 else 0
-        if len(blocks) == 1:  # the block's chain is the root and itself: a causal mask
-            lo, n = starts[first], sizes[first]
-            mine = slice(held[first], held[first + 1])
+        if first in spans:  # the chain's rows see the root and the span up to themselves
+            lo, n = starts[first], spans[first]
+            mine = slice(held[first], held[blocks[-1] + 1])
             mask = triangle[:n, :n] if mine.stop - mine.start == n else triangle[q_rows[mine] - lo, :n]
             yield mine, keys + [slice(lo, lo + n)], n_root, mask
             continue

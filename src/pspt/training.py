@@ -72,8 +72,9 @@ class TrainConfig:
                      "early_stop_patience", "train_sample_size", "grad_clip"):
             if not getattr(self, name) > 0:  # so NaN fails too
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.in_batch_negatives > self.batch_size:
             raise ConfigError(
                 f"in_batch_negatives {self.in_batch_negatives} exceeds batch_size {self.batch_size}")

@@ -167,24 +167,23 @@ class TestAssembleInput:
 
 
 class TestAssembleSegments:
-    """The prefix is root segment 0 and pairs pack into one segment each
-    that continues it, except that a kept passage used by several pairs
-    becomes one [passage; separator] segment that their question segments
-    continue."""
+    """The prefix is root segment 0; each distinct kept passage is one
+    [passage; separator] segment that continues it, and each pair's
+    question is a segment that continues its passage's."""
 
     PREFIX_IDS = [30, 31, 32, 33, 34]  # a 5-row prefix
 
-    def test_distinct_passages_give_one_segment_per_pair(self, demo_model):
+    def test_distinct_passages_give_a_passage_and_a_question_segment_per_pair(self, demo_model):
         sep = demo_model.vocab.encode(SEPARATOR_TEXT)
         q = [10, 11, 12]
         passages = [[20, 21], [], [22, 23, 24, 25], [26]]
         packed = assemble_segments(demo_model, [(d, q) for d in passages], demo_model.embed,
                                    demo_model.embed(self.PREFIX_IDS))
-        assert packed.lengths == [5] + [len(d) + len(sep) + len(q) for d in passages]
-        assert packed.parents == [-1] + [0] * len(passages)
+        assert packed.lengths == [5] + [n for d in passages for n in (len(d) + len(sep), len(q))]
+        assert packed.parents == [-1] + [p for i in range(len(passages)) for p in (0, 2 * i + 1)]
         flat = self.PREFIX_IDS + [t for d in passages for t in d + sep + q]
         np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
-        ends = np.cumsum(packed.lengths)[1:]
+        ends = np.cumsum(packed.lengths)[2::2]  # the question segments' ends
         assert packed.target_positions == [r for e in ends for r in range(e - 4, e - 1)]
         assert packed.target_ids == q * len(passages)
 
@@ -200,8 +199,8 @@ class TestAssembleSegments:
 
         packed = assemble_segments(demo_model, pairs, embed, demo_model.embed(self.PREFIX_IDS))
         assert embedded == [d + e]  # each distinct passage once
-        assert packed.lengths == [5, 3 + len(sep), 2, 1 + len(sep) + 1, 3, 1]
-        assert packed.parents == [-1, 0, 1, 0, 1, 1]
+        assert packed.lengths == [5, 3 + len(sep), 2, 1 + len(sep), 1, 3, 1]
+        assert packed.parents == [-1, 0, 1, 0, 3, 1, 1]
         flat = self.PREFIX_IDS + d + sep + [10, 11] + e + sep + [12] + [13, 14, 15] + [16]
         np.testing.assert_array_equal(packed.embeddings.data, demo_model.embed(flat).data)
         # a question's first target is its passage's last separator row
@@ -216,8 +215,8 @@ class TestAssembleSegments:
         pairs = [(d, [10]), (d, [11, 12]), (d, [13, 14])]
         packed = assemble_segments(demo_model, pairs, demo_model.embed,
                                    demo_model.embed(self.PREFIX_IDS))
-        assert packed.parents == [-1, 0, 0, 2, 2]
-        assert packed.lengths == [5, room, room - 2, 2, 2]  # every chain fills max_seq_len
+        assert packed.parents == [-1, 0, 1, 0, 3, 3]
+        assert packed.lengths == [5, room - 1, 1, room - 2, 2, 2]  # every chain fills max_seq_len
 
 
 class TestThetaExclusivity:
@@ -255,6 +254,20 @@ class TestParamsPersistence:
         ckpt = load_checkpoint_file(path)
         save_checkpoint_file(path, ckpt.buffers, meta={**ckpt.meta, "r": r})
         with pytest.raises(CheckpointError, match="adapter meta 'r'"):
+            load_params(path)
+
+    @pytest.mark.parametrize("field, value", [("alpha", True), ("alpha", "16"), ("alpha", " 1_6 "),
+                                              ("hard_prompt", 5), ("hard_prompt", None)],
+                             ids=["alpha-true", "alpha-string", "alpha-underscored-string",
+                                  "hard-prompt-number", "hard-prompt-null"])
+    def test_meta_alpha_not_a_number_or_hard_prompt_not_a_string_rejected(self, params, tmp_path,
+                                                                         field, value):
+        # true would load as alpha 1.0 and "16" as 16.0; 5 and null as the soft prompt's text
+        path = tmp_path / "theta.ckpt"
+        save_params(params, path)
+        ckpt = load_checkpoint_file(path)
+        save_checkpoint_file(path, ckpt.buffers, meta={**ckpt.meta, field: value})
+        with pytest.raises(CheckpointError, match=f"adapter meta '{field}'"):
             load_params(path)
 
     def test_copy_is_independent(self, params):

@@ -625,6 +625,9 @@ class TestGroupedAttention:
     FANOUT = ([3, 4, 5, 2, 3, 2, 2], [-1, 0, 0, 1, 1, 2, 1])
     # a chain 1 -> 2 -> {3, 4} below root 0, and a second root 5 with child 6
     DEEP = ([3, 4, 2, 3, 2, 2, 3], [-1, 0, 1, 2, 2, -1, 5])
+    # a prompt and two passage -> question chains, and the same rows as merged blocks
+    CHAINS = ([4, 3, 2, 5, 3], [-1, 0, 1, 0, 3])
+    MERGED = ([4, 5, 8], [-1, 0, 0])
 
     def run(self, op, tree, dtype, q_rows=None, seed=0):
         """op's output and the gradients of q, k and v under fixed output weights."""
@@ -661,20 +664,30 @@ class TestGroupedAttention:
             assert np.array_equal(a[:, 12:], b[:, 12:])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("q_rows", [None, [1, 5, 6, 9, 12, 15]], ids=["all", "subset"])
+    def test_chains_equal_their_blocks_merged_exactly(self, q_rows, dtype):
+        """A passage -> question chain attends as the one block of its rows."""
+        got = self.run(T.block_attention, self.CHAINS, dtype, q_rows)
+        want = self.run(T.block_attention, self.MERGED, dtype, q_rows)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("tree, q_rows", [
         (PROMPT_LEAVES, None), (PROMPT_LEAVES, [1, 4, 5, 13]), (PROMPT_LEAVES, [0, 6, 9]),
-        (EQUAL_ROOTS, None), (EQUAL_ROOTS, [0, 2, 7]), (TREE, None), (TREE, [2, 8, 10, 11])],
+        (EQUAL_ROOTS, None), (EQUAL_ROOTS, [0, 2, 7]), (TREE, None), (TREE, [2, 8, 10, 11]),
+        (CHAINS, None), (CHAINS, [0, 7, 8, 13, 16])],
         ids=["prompt-leaves", "prompt-leaves-subset", "prompt-leaves-sparse", "equal-roots",
-             "equal-roots-subset", "tree", "tree-subset"])
+             "equal-roots-subset", "tree", "tree-subset", "chains", "chains-subset"])
     def test_single_block_masks_equal_a_fresh_causal_mask(self, tree, q_rows, dtype):
-        """A single-block group's mask, sliced from one triangle per call,
-        equals the mask built for the block alone: hide key row c from query
-        row r iff c > r."""
+        """A chain's mask (a single block is a chain too), sliced from one
+        triangle per call, equals the mask built for its rows alone: hide
+        key row c from query row r iff c > r."""
         sizes, parents = tree
         rows = np.arange(sum(sizes)) if q_rows is None else np.asarray(q_rows)
         singles = 0
         for mine, keys, _, mask in T._attention_groups(sizes, parents, rows, dtype):
-            if isinstance(mine, slice):  # a single block: its own rows are the last key span
+            if isinstance(mine, slice):  # a chain: its own rows are the last key span
                 lo, hi = keys[-1].start, keys[-1].stop
                 want = np.where(np.arange(lo, hi) > rows[mine, None], dtype(-1e9), dtype(0))
                 assert mask.dtype == dtype and np.array_equal(mask, want)
@@ -685,9 +698,10 @@ class TestGroupedAttention:
         (TREE, None), (FANOUT, None), (DEEP, None),
         (TREE, [2, 8, 10, 11]),  # group {1, 2, 3}'s head block 1 has no queried row
         (FANOUT, [0, 12, 14, 17, 19, 20]),  # nor has block 1 here, and group {2, 5} only 5
-        (DEEP, [1, 9, 11, 13, 16, 18])],  # blocks 1 and 2 of the chain have none, nor has root 5
+        (DEEP, [1, 9, 11, 13, 16, 18]),  # blocks 1 and 2 of the chain have none, nor has root 5
+        (CHAINS, None), (CHAINS, [0, 7, 8, 13, 16])],  # passage block 1 has no queried row
         ids=["tree", "fanout", "deep", "tree-head-unqueried", "fanout-head-unqueried",
-             "deep-chain-unqueried"])
+             "deep-chain-unqueried", "chains", "chains-passage-unqueried"])
     def test_multi_block_groups_match_the_per_block_loop(self, tree, q_rows):
         got = self.run(T.block_attention, tree, np.float64, q_rows)
         want = self.run(per_block_attention, tree, np.float64, q_rows)

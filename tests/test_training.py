@@ -513,6 +513,10 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(in_batch_negatives=9, batch_size=4)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
+
     def test_built_config_is_frozen(self):
         config = TrainConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
