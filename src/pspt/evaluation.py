@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -253,27 +254,36 @@ class Bm25Index:
     k1, b = 0.9, 0.4
 
     def __init__(self, docs: Iterable[tuple[str, str]]):
-        self.doc_tokens: dict[str, list[str]] = {pid: tokenize_text(text) for pid, text in docs}
-        if not self.doc_tokens:
+        self._init({pid: _doc_stats(tokenize_text(text)) for pid, text in docs})
+
+    @classmethod
+    def _from_stats(cls, stats: dict[str, tuple[int, dict[str, int]]]) -> "Bm25Index":
+        """An index over passages given as (length, term counts) by id. A
+        term missing from every count reads as absent from the pool."""
+        index = cls.__new__(cls)
+        index._init(stats)
+        return index
+
+    def _init(self, stats: dict[str, tuple[int, dict[str, int]]]) -> None:
+        if not stats:
             raise DataError("BM25 index over an empty passage pool")
-        self.n_docs = len(self.doc_tokens)
-        self.avgdl = sum(len(t) for t in self.doc_tokens.values()) / self.n_docs
-        self.df: dict[str, int] = {}
-        for toks in self.doc_tokens.values():
-            for term in set(toks):
-                self.df[term] = self.df.get(term, 0) + 1
+        self.doc_stats = stats
+        self.n_docs = len(stats)
+        self.avgdl = sum(dl for dl, _ in stats.values()) / self.n_docs
+        self.df: dict[str, int] = {}  # filled per term on first use
 
     def idf(self, term: str) -> float:
-        df = self.df.get(term, 0)
+        df = self.df.get(term)
+        if df is None:
+            df = self.df[term] = sum(term in counts for _, counts in self.doc_stats.values())
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
     def score(self, query_tokens: list[str], passage_id: str) -> float:
-        toks = self.doc_tokens[passage_id]
-        dl = len(toks)
+        dl, counts = self.doc_stats[passage_id]
         norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl > 0 else self.k1
         total = 0.0
         for term in query_tokens:
-            tf = toks.count(term)
+            tf = counts.get(term, 0)
             if tf == 0:
                 continue
             total += self.idf(term) * tf * (self.k1 + 1.0) / (tf + norm)
@@ -284,16 +294,37 @@ class Bm25Index:
             raise ContractError("k must be at least 1")
         q_tokens = tokenize_text(query_text)
         scored = sorted(
-            ((pid, self.score(q_tokens, pid)) for pid in self.doc_tokens),
+            ((pid, self.score(q_tokens, pid)) for pid in self.doc_stats),
             key=lambda pair: (-pair[1], pair[0]),
         )
         return [RunEntry(pid, rank, score) for rank, (pid, score) in enumerate(scored[:k], 1)]
 
 
+def _doc_stats(tokens: list[str], terms=None) -> tuple[int, dict[str, int]]:
+    """A passage's length and its term counts, kept only for `terms` if given."""
+    counts = Counter(tokens)
+    if terms is not None:
+        counts = {term: counts[term] for term in terms if term in counts}
+    return len(tokens), counts
+
+
 def bm25_run(dataset: QaDataset, k: int) -> RetrievalRun:
-    """Run tagged "bm25": each question's own pool, ranked by BM25."""
+    """Run tagged "bm25": each question's own pool, ranked by BM25.
+
+    Each distinct passage is tokenized once. It keeps its length and the
+    counts of the terms that the questions of its pools hold, which are the
+    only terms its pools score.
+    """
+    wanted: dict[str, set[str]] = {}
+    for q in dataset.questions:
+        terms = set(tokenize_text(q.text))
+        for p in q.passages:
+            wanted.setdefault(p.passage_id, set()).update(terms)
+    stats = {pid: _doc_stats(tokenize_text(dataset.passage_text(pid)), terms)
+             for pid, terms in wanted.items()}
     return RetrievalRun("bm25", {
-        q.question_id: Bm25Index((p.passage_id, p.text) for p in q.passages).top_k(q.text, k)
+        q.question_id: Bm25Index._from_stats({p.passage_id: stats[p.passage_id]
+                                              for p in q.passages}).top_k(q.text, k)
         for q in dataset.questions})
 
 

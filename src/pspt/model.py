@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,9 @@ class Vocabulary:
         if cap <= len(RESERVED_TOKENS):
             raise ConfigError(f"vocabulary cap {cap} leaves no room beside the "
                               f"{len(RESERVED_TOKENS)} reserved tokens")
-        counts: dict[str, int] = {}
+        counts: Counter[str] = Counter()
         for text in texts:
-            for tok in tokenize_text(text):
-                counts[tok] = counts.get(tok, 0) + 1
+            counts.update(tokenize_text(text))
         ranked = sorted(counts, key=lambda t: (-counts[t], t))
         return cls(ranked[: cap - len(RESERVED_TOKENS)])
 

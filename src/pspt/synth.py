@@ -39,9 +39,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.n_topics < 1 or self.n_bridge_words < 1:
-            raise ConfigError(f"n_topics {self.n_topics} and n_bridge_words "
-                              f"{self.n_bridge_words} must be at least 1")
+        if self.n_topics < 1:
+            raise ConfigError(f"n_topics must be at least 1, got {self.n_topics}")
+        if self.n_bridge_words < 2:
+            # with one bridge word no question has an other-bridge negative
+            raise ConfigError(f"n_bridge_words must be at least 2, got {self.n_bridge_words}")
         if not 0 <= self.filler_tokens_min <= self.filler_tokens_max:
             raise ConfigError(f"filler token range [{self.filler_tokens_min}, "
                               f"{self.filler_tokens_max}] must satisfy 0 <= min <= max")
@@ -78,7 +80,7 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
         question_texts.append("find " + " ".join(question_words) + f" near {bridge}")
         n_fill = int(rng.integers(config.filler_tokens_min, config.filler_tokens_max + 1))
         body = list(passage_words) + [bridge]
-        body += [fillers[int(j)] for j in rng.integers(0, N_FILLER_WORDS, size=n_fill)]
+        body += [fillers[j] for j in rng.integers(0, N_FILLER_WORDS, size=n_fill).tolist()]
         rng.shuffle(body)
         positive_texts.append(" ".join(body))
         positive_ids.append(f"d{int(id_perm[i]):04d}")
@@ -86,6 +88,12 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
     by_bridge: dict[str, list[int]] = {}
     for i, bridge in enumerate(bridge_of):
         by_bridge.setdefault(bridge, []).append(i)
+    # the questions of every other bridge, ascending: one list per bridge word,
+    # not one scan of all questions per question
+    other_bridges = {bridge: [j for j, b in enumerate(bridge_of) if b != bridge]
+                     for bridge in by_bridge}
+    # every pool a passage joins as a negative shares one (immutable) Passage
+    negatives = [Passage(pid, text, False) for pid, text in zip(positive_ids, positive_texts)]
 
     questions = []
     for i in range(config.n_questions):
@@ -94,13 +102,11 @@ def build_synthetic_dataset(config: SynthConfig = SynthConfig()) -> QaDataset:
         n_confusers = min(n_confusers, len(same_bridge))
         confusers = [same_bridge[int(j)] for j in
                      rng.choice(len(same_bridge), size=n_confusers, replace=False)]
-        others = [j for j in range(config.n_questions)
-                  if j != i and bridge_of[j] != bridge_of[i]]
+        others = other_bridges[bridge_of[i]]
         n_rest = POOL_SIZE - 1 - n_confusers
         rest = [others[int(j)] for j in rng.choice(len(others), size=n_rest, replace=False)]
         passages = [Passage(positive_ids[i], positive_texts[i], True)]
-        passages += [Passage(positive_ids[j], positive_texts[j], False)
-                     for j in confusers + rest]
+        passages += [negatives[j] for j in confusers + rest]
         questions.append(Question(f"q{i:04d}", question_texts[i], passages))
     return QaDataset(questions)
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pspt import tensor as T
 from pspt.errors import ContractError, DataError, InputError, ParseError
@@ -26,6 +28,7 @@ from pspt.evaluation import (
     student_t_two_sided_p,
     write_run_file,
 )
+from pspt.model import tokenize_text
 
 
 def write_lines(path, lines):
@@ -162,6 +165,67 @@ class TestBm25:
         entries = bm25_run(ds, 3).queries["q1"]
         assert [e.passage_id for e in entries] == ["d1", "d4", "d2"]
         assert [e.rank for e in entries] == [1, 2, 3]
+
+
+def reference_bm25_run(dataset: QaDataset, k: int) -> dict[str, list[tuple[str, int, str]]]:
+    """Brute-force BM25: each pool tokenizes its passages itself, counts
+    document frequency over every term and counts tf with list.count.
+    Entries are (passage id, rank, score as float.hex())."""
+    k1, b = Bm25Index.k1, Bm25Index.b
+    out = {}
+    for q in dataset.questions:
+        docs = {p.passage_id: tokenize_text(p.text) for p in q.passages}
+        n_docs = len(docs)
+        avgdl = sum(len(t) for t in docs.values()) / n_docs
+        df: dict[str, int] = {}
+        for toks in docs.values():
+            for term in set(toks):
+                df[term] = df.get(term, 0) + 1
+        q_tokens = tokenize_text(q.text)
+        scored = []
+        for pid, toks in docs.items():
+            norm = k1 * (1.0 - b + b * len(toks) / avgdl) if avgdl > 0 else k1
+            total = 0.0
+            for term in q_tokens:
+                tf = toks.count(term)
+                if tf == 0:
+                    continue
+                idf = math.log(1.0 + (n_docs - df.get(term, 0) + 0.5) / (df.get(term, 0) + 0.5))
+                total += idf * tf * (k1 + 1.0) / (tf + norm)
+            scored.append((pid, total))
+        scored.sort(key=lambda pair: (-pair[1], pair[0]))
+        out[q.question_id] = [(pid, rank, score.hex())
+                              for rank, (pid, score) in enumerate(scored[:k], 1)]
+    return out
+
+
+# passage words, repeated tokens and punctuation; "zz" and "?" appear only in questions,
+# and "" or "  " passages tokenize to nothing
+PASSAGE_PIECES = ["a", "b", "Cat", "cat", "x1", "a a", ",", "!!", "b.", "", "  "]
+QUESTION_PIECES = ["a", "cat", "x1", "b", ",", "zz", "?", "a a"]
+
+
+@st.composite
+def bm25_datasets(draw):
+    texts = draw(st.lists(st.lists(st.sampled_from(PASSAGE_PIECES), max_size=8)
+                          .map(" ".join), min_size=1, max_size=7))
+    questions = []
+    for i in range(draw(st.integers(1, 5))):
+        pool = draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, unique=True))
+        if 0 not in pool:
+            pool.append(0)  # passage p0 sits in every pool
+        text = " ".join(draw(st.lists(st.sampled_from(QUESTION_PIECES), max_size=6)))
+        questions.append(Question(f"q{i}", text, [Passage(f"p{j}", texts[j], j == pool[0])
+                                                  for j in pool]))
+    return QaDataset(questions)
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(bm25_datasets(), st.integers(1, 8))
+def test_bm25_run_equals_brute_force_bitwise(dataset, k):
+    run = bm25_run(dataset, k)
+    assert {qid: [(e.passage_id, e.rank, e.score.hex()) for e in entries]
+            for qid, entries in run.queries.items()} == reference_bm25_run(dataset, k)
 
 
 class TestRecallAndHit:

@@ -1,11 +1,20 @@
 """Synthetic dataset builder invariants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pspt import tensor as T
 from pspt.errors import ConfigError, DataError
-from pspt.evaluation import save_dataset, load_dataset
+from pspt.evaluation import Passage, QaDataset, Question, save_dataset, load_dataset
 from pspt.model import Vocabulary, tokenize_text
 from pspt.synth import (
+    CONFUSER_MAX,
+    CONFUSER_MIN,
+    N_FILLER_WORDS,
+    PASSAGE_WORDS_PER_TOPIC,
+    POOL_SIZE,
+    QUESTION_WORDS_PER_TOPIC,
     SynthConfig,
     build_synthetic_dataset,
     main,
@@ -72,11 +81,13 @@ class TestBuilder:
 
     @pytest.mark.parametrize("fields", [
         dict(n_topics=0), dict(n_topics=-1), dict(n_bridge_words=0), dict(n_bridge_words=-2),
+        dict(n_bridge_words=1),
         dict(filler_tokens_min=5, filler_tokens_max=4), dict(filler_tokens_min=-1), dict(seed=-1),
-    ], ids=["no-topics", "negative-topics", "no-bridges", "negative-bridges",
+    ], ids=["no-topics", "negative-topics", "no-bridges", "negative-bridges", "one-bridge",
             "filler-min-above-max", "negative-filler-min", "negative-seed"])
     def test_out_of_range_field_rejected(self, fields):
-        # 120 questions over 8 bridges is valid, so each case fails on its own field
+        # 120 questions over 8 bridges is valid, so each case fails on its own field;
+        # one bridge word leaves no question an other-bridge negative
         with pytest.raises(ConfigError):
             build_synthetic_dataset(SynthConfig(**{"n_questions": 120, "n_bridge_words": 8,
                                                    **fields}))
@@ -86,6 +97,66 @@ class TestBuilder:
             config = SynthConfig(n_questions=120, n_bridge_words=8, filler_tokens_min=width,
                                  filler_tokens_max=width)
             assert len(build_synthetic_dataset(config).questions) == 120
+
+
+def reference_build(config: SynthConfig) -> QaDataset:
+    """The builder as it was written first: each question scans every
+    question for its other-bridge negatives and makes its own Passages."""
+    rng = T.make_rng(config.seed, 40)
+    topics = [([f"tp{k}x{j}" for j in range(PASSAGE_WORDS_PER_TOPIC)],
+               [f"tq{k}x{j}" for j in range(QUESTION_WORDS_PER_TOPIC)])
+              for k in range(config.n_topics)]
+    bridges = [f"br{i}" for i in range(config.n_bridge_words)]
+    fillers = [f"fl{i}" for i in range(N_FILLER_WORDS)]
+    bridge_of = [bridges[i % config.n_bridge_words] for i in range(config.n_questions)]
+    rng.shuffle(bridge_of)
+    id_perm = rng.permutation(config.n_questions)
+    question_texts, positive_texts, positive_ids = [], [], []
+    for i in range(config.n_questions):
+        passage_words, question_words = topics[i % config.n_topics]
+        bridge = bridge_of[i]
+        question_texts.append("find " + " ".join(question_words) + f" near {bridge}")
+        n_fill = int(rng.integers(config.filler_tokens_min, config.filler_tokens_max + 1))
+        body = list(passage_words) + [bridge]
+        body += [fillers[int(j)] for j in rng.integers(0, N_FILLER_WORDS, size=n_fill)]
+        rng.shuffle(body)
+        positive_texts.append(" ".join(body))
+        positive_ids.append(f"d{int(id_perm[i]):04d}")
+    questions = []
+    for i in range(config.n_questions):
+        same_bridge = [j for j in range(config.n_questions)
+                       if j != i and bridge_of[j] == bridge_of[i]]
+        n_confusers = min(int(rng.integers(CONFUSER_MIN, CONFUSER_MAX + 1)), len(same_bridge))
+        confusers = [same_bridge[int(j)] for j in
+                     rng.choice(len(same_bridge), size=n_confusers, replace=False)]
+        others = [j for j in range(config.n_questions)
+                  if j != i and bridge_of[j] != bridge_of[i]]
+        rest = [others[int(j)] for j in
+                rng.choice(len(others), size=POOL_SIZE - 1 - n_confusers, replace=False)]
+        passages = [Passage(positive_ids[i], positive_texts[i], True)]
+        passages += [Passage(positive_ids[j], positive_texts[j], False)
+                     for j in confusers + rest]
+        questions.append(Question(f"q{i:04d}", question_texts[i], passages))
+    return QaDataset(questions)
+
+
+@st.composite
+def synth_configs(draw):
+    n_bridge_words = draw(st.integers(2, 5))
+    low = draw(st.integers(0, 6))
+    return SynthConfig(
+        # more than CONFUSER_MAX questions per bridge word, as SynthConfig requires
+        n_questions=draw(st.integers((CONFUSER_MAX + 1) * n_bridge_words,
+                                     (CONFUSER_MAX + 1) * n_bridge_words + 30)),
+        n_topics=draw(st.integers(1, 12)), n_bridge_words=n_bridge_words,
+        filler_tokens_min=low, filler_tokens_max=low + draw(st.integers(0, 6)),
+        seed=draw(st.integers(0, 2**16)))
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(synth_configs())
+def test_builder_equals_the_per_question_scan(config):
+    assert build_synthetic_dataset(config).questions == reference_build(config).questions
 
 
 class TestSplit:
