@@ -13,7 +13,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,84 +248,57 @@ def write_run_file(run: RetrievalRun, path) -> None:
 # Toy BM25 retrieval
 # --------------------------------------------------------------------------
 
-class Bm25Index:
-    """Okapi BM25 over a small in-memory passage pool."""
-
-    k1, b = 0.9, 0.4
-
-    def __init__(self, docs: Iterable[tuple[str, str]]):
-        self._init({pid: _doc_stats(tokenize_text(text)) for pid, text in docs})
-
-    @classmethod
-    def _from_stats(cls, stats: dict[str, tuple[int, dict[str, int]]]) -> "Bm25Index":
-        """An index over passages given as (length, term counts) by id. A
-        term missing from every count reads as absent from the pool."""
-        index = cls.__new__(cls)
-        index._init(stats)
-        return index
-
-    def _init(self, stats: dict[str, tuple[int, dict[str, int]]]) -> None:
-        if not stats:
-            raise DataError("BM25 index over an empty passage pool")
-        self.doc_stats = stats
-        self.n_docs = len(stats)
-        self.avgdl = sum(dl for dl, _ in stats.values()) / self.n_docs
-        self.df: dict[str, int] = {}  # filled per term on first use
-
-    def idf(self, term: str) -> float:
-        df = self.df.get(term)
-        if df is None:
-            df = self.df[term] = sum(term in counts for _, counts in self.doc_stats.values())
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-
-    def score(self, query_tokens: list[str], passage_id: str) -> float:
-        dl, counts = self.doc_stats[passage_id]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl > 0 else self.k1
-        total = 0.0
-        for term in query_tokens:
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            total += self.idf(term) * tf * (self.k1 + 1.0) / (tf + norm)
-        return total
-
-    def top_k(self, query_text: str, k: int) -> list[RunEntry]:
-        if k < 1:
-            raise ContractError("k must be at least 1")
-        q_tokens = tokenize_text(query_text)
-        scored = sorted(
-            ((pid, self.score(q_tokens, pid)) for pid in self.doc_stats),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
-        return [RunEntry(pid, rank, score) for rank, (pid, score) in enumerate(scored[:k], 1)]
-
-
-def _doc_stats(tokens: list[str], terms=None) -> tuple[int, dict[str, int]]:
-    """A passage's length and its term counts, kept only for `terms` if given."""
-    counts = Counter(tokens)
-    if terms is not None:
-        counts = {term: counts[term] for term in terms if term in counts}
-    return len(tokens), counts
+# Okapi BM25's term-frequency saturation and document-length normalization
+BM25_K1, BM25_B = 0.9, 0.4
 
 
 def bm25_run(dataset: QaDataset, k: int) -> RetrievalRun:
-    """Run tagged "bm25": each question's own pool, ranked by BM25.
+    """Run tagged "bm25": each question's own pool, ranked by Okapi BM25.
 
-    Each distinct passage is tokenized once. It keeps its length and the
-    counts of the terms that the questions of its pools hold, which are the
-    only terms its pools score.
+    Each question and each distinct passage is tokenized once. A passage
+    keeps its length and the counts of the terms that the questions of its
+    pools hold, which are the only terms its pools score.
     """
+    if k < 1:
+        raise ContractError("k must be at least 1")
+    queries = [tokenize_text(q.text) for q in dataset.questions]
     wanted: dict[str, set[str]] = {}
-    for q in dataset.questions:
-        terms = set(tokenize_text(q.text))
+    for q, query in zip(dataset.questions, queries):
         for p in q.passages:
-            wanted.setdefault(p.passage_id, set()).update(terms)
-    stats = {pid: _doc_stats(tokenize_text(dataset.passage_text(pid)), terms)
-             for pid, terms in wanted.items()}
+            wanted.setdefault(p.passage_id, set()).update(query)
+    stats: dict[str, tuple[int, dict[str, int]]] = {}
+    for pid, terms in wanted.items():
+        tokens = tokenize_text(dataset.passage_text(pid))
+        counts = Counter(tokens)
+        stats[pid] = len(tokens), {term: counts[term] for term in terms if term in counts}
     return RetrievalRun("bm25", {
-        q.question_id: Bm25Index._from_stats({p.passage_id: stats[p.passage_id]
-                                              for p in q.passages}).top_k(q.text, k)
-        for q in dataset.questions})
+        q.question_id: _bm25_top_k(query, {p.passage_id: stats[p.passage_id]
+                                           for p in q.passages}, k)
+        for q, query in zip(dataset.questions, queries)})
+
+
+def _bm25_top_k(query: list[str], pool: dict[str, tuple[int, dict[str, int]]],
+                k: int) -> list[RunEntry]:
+    """The k best passages of `pool`, each given as (length, term counts) by
+    id, for the query's tokens; equal scores rank by passage id. A term
+    missing from every count reads as absent from the pool, and each term
+    that a count holds gets its idf once."""
+    if not pool:
+        raise DataError("BM25 over an empty passage pool")
+    avgdl = sum(dl for dl, _ in pool.values()) / len(pool)
+    df = Counter(term for _, counts in pool.values() for term in counts)
+    idf = {term: math.log(1.0 + (len(pool) - n + 0.5) / (n + 0.5)) for term, n in df.items()}
+    scored = []
+    for pid, (dl, counts) in pool.items():
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / avgdl) if avgdl > 0 else BM25_K1
+        total = 0.0
+        for term in query:
+            tf = counts.get(term, 0)
+            if tf:
+                total += idf[term] * tf * (BM25_K1 + 1.0) / (tf + norm)
+        scored.append((pid, total))
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return [RunEntry(pid, rank, score) for rank, (pid, score) in enumerate(scored[:k], 1)]
 
 
 # --------------------------------------------------------------------------
@@ -476,8 +449,8 @@ def evaluate(runs: list[RetrievalRun], dataset: QaDataset, k_list: list[int],
         raise InputError(f"duplicate run tags: {tags}")
     if baseline_tag is not None and baseline_tag not in tags:
         raise InputError(f"baseline tag {baseline_tag!r} not among runs {tags}")
-    if not k_list or min(k_list) < 1:
-        raise ConfigError(f"k_list must be a non-empty list of cutoffs >= 1, got {k_list}")
+    if not k_list or min(k_list) < 1 or len(set(k_list)) != len(k_list):
+        raise ConfigError(f"k_list must be a non-empty list of distinct cutoffs >= 1, got {k_list}")
 
     names = _metric_names(k_list)
     results: list[RunMetrics] = []

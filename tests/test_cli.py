@@ -639,7 +639,7 @@ class TestEval:
     def test_missing_run_file_is_data_error(self, workspace):
         assert main(["--config", workspace["config"], "eval", "--run", "/nonexistent.run"]) == 2
 
-    @pytest.mark.parametrize("k_list", [[0], [-3], [], [5, 0]])
+    @pytest.mark.parametrize("k_list", [[0], [-3], [], [5, 0], [5, 5]])
     def test_cutoff_below_one_or_no_cutoff_is_config_error(self, workspace, tmp_path, capsys,
                                                            k_list):
         config = json.loads(Path(workspace["config"]).read_text())

@@ -2,16 +2,17 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pspt import evaluation
 from pspt import tensor as T
-from pspt.errors import ContractError, DataError, InputError, ParseError
+from pspt.errors import ConfigError, ContractError, DataError, InputError, ParseError
 from pspt.evaluation import (
-    Bm25Index,
     Passage,
     QaDataset,
     Question,
@@ -136,25 +137,41 @@ class TestBm25:
     }
 
     def test_fixture_scores_match_hand_computation(self):
-        index = Bm25Index(self.FIXTURE.items())
-        q = ["cat", "on", "mat"]
-        for pid, expected in self.EXPECTED.items():
-            assert abs(index.score(q, pid) - expected) < 1e-6
+        entries = one_question_run("cat on mat", self.FIXTURE.items(), 5)
+        assert {e.passage_id for e in entries} == set(self.EXPECTED)
+        for e in entries:
+            assert abs(e.score - self.EXPECTED[e.passage_id]) < 1e-6
 
     def test_no_shared_terms_gives_zero_scores_in_id_order(self):
-        index = Bm25Index([("b", "alpha beta"), ("a", "gamma delta"), ("c", "epsilon")])
-        entries = index.top_k("zeta eta", 3)
+        entries = one_question_run("zeta eta", [("b", "alpha beta"), ("a", "gamma delta"),
+                                                ("c", "epsilon")], 3)
         assert [e.passage_id for e in entries] == ["a", "b", "c"]
         assert all(e.score == 0.0 for e in entries)
 
     def test_single_passage_pool(self):
-        index = Bm25Index([("only", "some text here")])
-        entries = index.top_k("text", 5)
+        entries = one_question_run("text", [("only", "some text here")], 5)
         assert entries == [RunEntry("only", 1, entries[0].score)]
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(DataError):
-            Bm25Index([])
+        with pytest.raises(DataError, match="empty passage pool"):
+            one_question_run("text", [], 5)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ContractError, match="k must be at least 1"):
+            one_question_run("text", [("only", "some text here")], k)
+
+    def test_each_question_and_each_distinct_passage_tokenized_once(self):
+        shared = Passage("s", "the shared passage", True)
+        ds = QaDataset([
+            Question("q1", "cat on mat", [shared, Passage("a", "a cat", False)]),
+            Question("q2", "dog", [shared, Passage("b", "a dog", False)]),
+            Question("q3", "cat on mat", [Passage("a", "a cat", True), shared]),
+        ])
+        with mock.patch.object(evaluation, "tokenize_text", wraps=tokenize_text) as spy:
+            bm25_run(ds, 2)
+        assert sorted(c.args[0] for c in spy.call_args_list) == sorted(
+            ["cat on mat", "dog", "cat on mat", "the shared passage", "a cat", "a dog"])
 
     def test_retrieve_over_question_pool(self):
         ds = QaDataset([
@@ -167,11 +184,17 @@ class TestBm25:
         assert [e.rank for e in entries] == [1, 2, 3]
 
 
+def one_question_run(query: str, docs, k: int) -> list[RunEntry]:
+    """bm25_run's entries for one question whose pool is `docs`, (id, text) pairs."""
+    pool = [Passage(pid, text, False) for pid, text in docs]
+    return bm25_run(QaDataset([Question("q1", query, pool)]), k).queries["q1"]
+
+
 def reference_bm25_run(dataset: QaDataset, k: int) -> dict[str, list[tuple[str, int, str]]]:
     """Brute-force BM25: each pool tokenizes its passages itself, counts
     document frequency over every term and counts tf with list.count.
     Entries are (passage id, rank, score as float.hex())."""
-    k1, b = Bm25Index.k1, Bm25Index.b
+    k1, b = evaluation.BM25_K1, evaluation.BM25_B
     out = {}
     for q in dataset.questions:
         docs = {p.passage_id: tokenize_text(p.text) for p in q.passages}
@@ -413,6 +436,13 @@ class TestEvaluate:
                           k_list=[2], baseline_tag="x")
         assert report.p_values["y"]["R@2"] == 1.0
         assert report.p_values["y"]["H@2"] == 1.0
+
+    @pytest.mark.parametrize("k_list", [[], [0], [1, 1], [2, 1, 2]])
+    def test_empty_below_one_or_repeated_cutoffs_rejected(self, k_list):
+        """A repeated cutoff would list one R@k column twice over a single value."""
+        run = run_from("r", {"q1": ["a", "b"]})
+        with pytest.raises(ConfigError, match="distinct cutoffs >= 1"):
+            evaluate([run], three_query_dataset(), k_list=k_list)
 
     def test_unknown_query_id_named(self):
         ds = three_query_dataset()
